@@ -6,9 +6,11 @@
 //   $ ./build/examples/stamp_runner labyrinth tl2 4
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <string>
 
-#include "sim/perf.h"
+#include "sim/json_parse.h"
+#include "sim/report.h"
+#include "sim/telemetry.h"
 #include "stamp/stamp.h"
 
 using namespace tsxhpc;
@@ -19,23 +21,12 @@ int main(int argc, char** argv) {
   const int threads = argc > 3 ? std::atoi(argv[3]) : 4;
 
   tmlib::Backend backend;
-  if (std::strcmp(backend_name, "sgl") == 0) {
-    backend = tmlib::Backend::kSgl;
-  } else if (std::strcmp(backend_name, "tl2") == 0) {
-    backend = tmlib::Backend::kTl2;
-  } else if (std::strcmp(backend_name, "tsx") == 0) {
-    backend = tmlib::Backend::kTsx;
-  } else if (std::strcmp(backend_name, "tictoc") == 0) {
-    backend = tmlib::Backend::kTicToc;
-  } else if (std::strcmp(backend_name, "tictoc-hybrid") == 0) {
-    backend = tmlib::Backend::kTicTocHybrid;
-  } else if (std::strcmp(backend_name, "mvcc") == 0) {
-    backend = tmlib::Backend::kMvcc;
-  } else {
-    std::fprintf(stderr,
-                 "unknown backend '%s' (sgl | tl2 | tsx | tictoc | "
-                 "tictoc-hybrid | mvcc)\n",
-                 backend_name);
+  if (!tmlib::backend_from_name(backend_name, &backend)) {
+    std::fprintf(stderr, "unknown backend '%s'; available:", backend_name);
+    for (tmlib::Backend b : tmlib::all_backends()) {
+      std::fprintf(stderr, " %s", tmlib::to_string(b));
+    }
+    std::fprintf(stderr, "\n");
     return 1;
   }
 
@@ -52,9 +43,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  sim::Telemetry telemetry;
   stamp::Config cfg;
   cfg.backend = backend;
   cfg.threads = threads;
+  cfg.machine.telemetry = &telemetry;
   const stamp::Result r = workload->fn(cfg);
 
   std::printf("%s / %s / %d threads\n", name, backend_name, threads);
@@ -67,31 +60,24 @@ int main(int argc, char** argv) {
                 backend_name, static_cast<unsigned long long>(r.cc.starts),
                 static_cast<unsigned long long>(r.cc.aborts),
                 r.abort_rate_pct(backend));
-    if (backend == tmlib::Backend::kMvcc) {
-      std::printf("  mvcc          : %llu snapshot commits, %llu versions, "
-                  "%llu gc reclaims\n",
-                  static_cast<unsigned long long>(r.cc.snapshot_commits),
-                  static_cast<unsigned long long>(r.cc.versions_created),
-                  static_cast<unsigned long long>(r.cc.gc_reclaims));
-    }
   } else if (backend == tmlib::Backend::kTsx) {
     const auto t = r.stats.total();
     std::printf("  hw txns       : %llu started, %llu aborted (%.1f%%)\n",
                 static_cast<unsigned long long>(t.tx_started),
                 static_cast<unsigned long long>(t.tx_aborts_total()),
                 r.abort_rate_pct(backend));
-    std::printf("  abort causes  : %llu conflict, %llu capacity, %llu "
-                "explicit, %llu syscall\n",
-                static_cast<unsigned long long>(
-                    t.tx_aborted[size_t(sim::AbortCause::kConflict)]),
-                static_cast<unsigned long long>(
-                    t.tx_aborted[size_t(sim::AbortCause::kCapacityWrite)]),
-                static_cast<unsigned long long>(
-                    t.tx_aborted[size_t(sim::AbortCause::kExplicit)]),
-                static_cast<unsigned long long>(
-                    t.tx_aborted[size_t(sim::AbortCause::kSyscall)]));
   }
-  std::printf("\n  perf-style counter block:\n%s",
-              sim::perf_report(r.stats).c_str());
+
+  // The perf-style counter report, rendered from the serialized artifact —
+  // the same path tsx_report and every bench's --report take.
+  std::string err;
+  const sim::JsonValue doc =
+      sim::JsonParser::parse(telemetry.json("stamp_runner"), &err);
+  if (!err.empty()) {
+    std::fprintf(stderr, "stamp_runner: telemetry parse error: %s\n",
+                 err.c_str());
+    return 1;
+  }
+  std::printf("\n%s", sim::render_report(doc).c_str());
   return r.checksum != 0 ? 0 : 2;
 }

@@ -76,14 +76,6 @@ void Context::tx_backoff(Cycles cycles) {
   stats().backoff_cycles += cycles;
 }
 
-void Context::tx_account_start() {
-  tx_start_clock_ = now();
-  if (TraceLog* t = m_.trace()) {
-    t->record({TraceEvent::Kind::kBegin, tid_, now(), AbortCause::kNone, 0,
-               0});
-  }
-}
-
 void Context::tx_account_end(bool committed, AbortCause cause,
                              std::uint32_t read_lines,
                              std::uint32_t write_lines) {
@@ -100,29 +92,29 @@ void Context::tx_account_end(bool committed, AbortCause cause,
       committed ? CycleBucket::kTxCommitted : CycleBucket::kTxWasted)] +=
       tx_pending_;
   tx_pending_ = 0;
-  if (TraceLog* t = m_.trace()) {
-    t->record({committed ? TraceEvent::Kind::kCommit
-                         : TraceEvent::Kind::kAbort,
-               tid_, now(), cause, read_lines, write_lines});
-  }
   if (Telemetry* tel = m_.telemetry()) {
     tel->on_txn(tid_, tx_start_clock_, now(), committed, cause, read_lines,
                 write_lines);
   }
 }
 
-void Context::check_doom() {
+void Context::abort_tx(AbortCause cause, std::uint8_t code) {
   MemorySystem& mem = m_.mem();
-  if (!mem.in_tx(tid_) || !mem.doomed(tid_)) return;
   const TxState& st = mem.tx_state(tid_);
-  const AbortCause cause = st.doom_cause;
   const auto r = static_cast<std::uint32_t>(st.read_lines.size());
   const auto w = static_cast<std::uint32_t>(st.write_lines.size());
   mem.tx_rollback(tid_, cause);
   tx_account_end(false, cause, r, w);
   m_.engine()->advance(tid_, m_.config().lat_abort);
   charge(m_.config().lat_abort, CycleBucket::kTxWasted);
-  throw TxAbort{cause, 0};
+  throw TxAbort{cause, code};
+}
+
+void Context::check_doom() {
+  MemorySystem& mem = m_.mem();
+  if (mem.in_tx(tid_) && mem.doomed(tid_)) {
+    abort_tx(mem.tx_state(tid_).doom_cause);
+  }
 }
 
 std::uint64_t Context::load(Addr a, unsigned size) {
@@ -241,18 +233,10 @@ void Context::xbegin() {
   check_doom();
   const bool outer = !m_.mem().in_tx(tid_);
   m_.mem().tx_begin(tid_);
-  if (outer) tx_account_start();
+  if (outer) tx_start_clock_ = now();
   if (m_.mem().doomed(tid_)) {
     // Nesting-depth overflow detected at begin.
-    const TxState& st = m_.mem().tx_state(tid_);
-    const AbortCause cause = st.doom_cause;
-    const auto r = static_cast<std::uint32_t>(st.read_lines.size());
-    const auto w = static_cast<std::uint32_t>(st.write_lines.size());
-    m_.mem().tx_rollback(tid_, cause);
-    tx_account_end(false, cause, r, w);
-    m_.engine()->advance(tid_, m_.config().lat_abort);
-    charge(m_.config().lat_abort, CycleBucket::kTxWasted);
-    throw TxAbort{cause, 0};
+    abort_tx(m_.mem().tx_state(tid_).doom_cause);
   }
   m_.engine()->advance(tid_, m_.config().lat_xbegin);
   charge(m_.config().lat_xbegin, CycleBucket::kWork);  // in-tx: pends
@@ -279,14 +263,7 @@ void Context::xabort(std::uint8_t code) {
     // codebase it is always a bug; fail loudly.
     throw SimError("XABORT outside a transaction");
   }
-  const TxState& st = m_.mem().tx_state(tid_);
-  const auto r = static_cast<std::uint32_t>(st.read_lines.size());
-  const auto w = static_cast<std::uint32_t>(st.write_lines.size());
-  m_.mem().tx_rollback(tid_, AbortCause::kExplicit);
-  tx_account_end(false, AbortCause::kExplicit, r, w);
-  m_.engine()->advance(tid_, m_.config().lat_abort);
-  charge(m_.config().lat_abort, CycleBucket::kTxWasted);
-  throw TxAbort{AbortCause::kExplicit, code};
+  abort_tx(AbortCause::kExplicit, code);
 }
 
 bool Context::in_txn() const { return m_.mem().in_tx(tid_); }
@@ -297,16 +274,7 @@ std::size_t Context::txn_footprint_lines() const {
 
 void Context::syscall(Cycles extra_cost) {
   check_doom();
-  if (m_.mem().in_tx(tid_)) {
-    const TxState& st = m_.mem().tx_state(tid_);
-    const auto r = static_cast<std::uint32_t>(st.read_lines.size());
-    const auto w = static_cast<std::uint32_t>(st.write_lines.size());
-    m_.mem().tx_rollback(tid_, AbortCause::kSyscall);
-    tx_account_end(false, AbortCause::kSyscall, r, w);
-    m_.engine()->advance(tid_, m_.config().lat_abort);
-    charge(m_.config().lat_abort, CycleBucket::kTxWasted);
-    throw TxAbort{AbortCause::kSyscall, 0};
-  }
+  if (m_.mem().in_tx(tid_)) abort_tx(AbortCause::kSyscall);
   stats().syscalls++;
   m_.engine()->advance(tid_, m_.config().lat_syscall + extra_cost);
   charge(m_.config().lat_syscall + extra_cost, CycleBucket::kWork);
@@ -340,16 +308,7 @@ void Context::futex_wait(Addr addr, std::uint32_t expected) {
 
 int Context::futex_wake(Addr addr, int count) {
   check_doom();
-  if (m_.mem().in_tx(tid_)) {
-    const TxState& st = m_.mem().tx_state(tid_);
-    const auto r = static_cast<std::uint32_t>(st.read_lines.size());
-    const auto w = static_cast<std::uint32_t>(st.write_lines.size());
-    m_.mem().tx_rollback(tid_, AbortCause::kSyscall);
-    tx_account_end(false, AbortCause::kSyscall, r, w);
-    m_.engine()->advance(tid_, m_.config().lat_abort);
-    charge(m_.config().lat_abort, CycleBucket::kTxWasted);
-    throw TxAbort{AbortCause::kSyscall, 0};
-  }
+  if (m_.mem().in_tx(tid_)) abort_tx(AbortCause::kSyscall);
   stats().syscalls++;
   stats().futex_wakes++;
   m_.engine()->advance(tid_, m_.config().lat_syscall);

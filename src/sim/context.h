@@ -111,8 +111,11 @@ class Context {
  private:
   /// If a remote conflict doomed our transaction, roll back and throw.
   void check_doom();
-  /// Cycle-accounting / tracing hooks around transactional regions.
-  void tx_account_start();
+  /// Abort the open transaction with `cause`: capture its footprint, roll it
+  /// back, account the attempt as wasted, charge the abort latency and
+  /// throw TxAbort{cause, code}.
+  [[noreturn]] void abort_tx(AbortCause cause, std::uint8_t code = 0);
+  /// Cycle accounting (and the telemetry hook) at an outer transaction's end.
   void tx_account_end(bool committed, AbortCause cause,
                       std::uint32_t read_lines, std::uint32_t write_lines);
 

@@ -5,9 +5,11 @@
 #include <cstdio>
 #include <vector>
 
+#include "sim/report_detail.h"
+
 namespace tsxhpc::sim {
 
-namespace {
+namespace report_detail {
 
 void appendf(std::string& out, const char* fmt, ...) {
   char buf[512];
@@ -17,6 +19,33 @@ void appendf(std::string& out, const char* fmt, ...) {
   va_end(ap);
   out += buf;
 }
+
+std::vector<std::uint64_t> u64_column(const JsonValue& obj, const char* key) {
+  const JsonValue& arr = obj[key];
+  std::vector<std::uint64_t> v(arr.size(), 0);
+  for (std::size_t i = 0; i < arr.size(); ++i) v[i] = arr.at(i).as_u64();
+  return v;
+}
+
+std::vector<std::uint64_t> doom_column(const JsonValue& level) {
+  std::vector<std::uint64_t> dooms = u64_column(level, "capacity_write_dooms");
+  const JsonValue& reads = level["capacity_read_dooms"];
+  for (std::size_t s = 0; s < dooms.size(); ++s) {
+    dooms[s] += reads.at(s).as_u64();
+  }
+  return dooms;
+}
+
+bool has_interconnect(const JsonValue& topo) {
+  return topo.is_object() &&
+         (topo["sockets"].as_u64() > 1 || topo["slices"].as_u64() > 1);
+}
+
+}  // namespace report_detail
+
+using namespace report_detail;
+
+namespace {
 
 /// Index of the largest element (ties to the lowest index); -1 if empty.
 int argmax(const JsonValue& arr) {
@@ -182,16 +211,13 @@ void render_cache_levels(std::string& out, const JsonValue& run) {
 /// 1-socket/1-slice reports read exactly as they always did.
 void render_topology(std::string& out, const JsonValue& run) {
   const JsonValue& topo = run["topology"];
-  if (!topo.is_object()) return;
-  const std::uint64_t sockets = topo["sockets"].as_u64();
-  const std::uint64_t slices = topo["slices"].as_u64();
-  if (sockets <= 1 && slices <= 1) return;
+  if (!has_interconnect(topo)) return;
   appendf(out,
           "  topology: %llu socket(s) x %llu cores, %llu LLC slice(s), "
           "map=%s (hop cycles: slice=%llu socket=%llu)\n",
-          static_cast<unsigned long long>(sockets),
+          static_cast<unsigned long long>(topo["sockets"].as_u64()),
           static_cast<unsigned long long>(topo["cores_per_socket"].as_u64()),
-          static_cast<unsigned long long>(slices),
+          static_cast<unsigned long long>(topo["slices"].as_u64()),
           topo["map"].as_string().c_str(),
           static_cast<unsigned long long>(topo["lat_hop_slice"].as_u64()),
           static_cast<unsigned long long>(topo["lat_hop_socket"].as_u64()));
@@ -457,14 +483,6 @@ char density_glyph(std::uint64_t v, std::uint64_t max) {
   return kRamp[idx];
 }
 
-std::vector<std::uint64_t> set_column(const JsonValue& level,
-                                      const char* key) {
-  const JsonValue& arr = level[key];
-  std::vector<std::uint64_t> v(arr.size(), 0);
-  for (std::size_t i = 0; i < arr.size(); ++i) v[i] = arr.at(i).as_u64();
-  return v;
-}
-
 void render_density_row(std::string& out, const char* name,
                         const std::vector<std::uint64_t>& v) {
   std::uint64_t max = 0, total = 0;
@@ -522,15 +540,10 @@ bool render_set_heatmaps(const JsonValue& doc, const std::string& level_filter,
       appendf(out, "  level %s: %llu sets x %llu ways\n", name.c_str(),
               static_cast<unsigned long long>(sets),
               static_cast<unsigned long long>(lv["ways"].as_u64()));
-      const auto occupancy = set_column(lv, "occupancy");
-      const auto evictions = set_column(lv, "evictions");
-      const auto back_inv = set_column(lv, "back_invalidations");
-      const auto w_dooms = set_column(lv, "capacity_write_dooms");
-      const auto r_dooms = set_column(lv, "capacity_read_dooms");
-      std::vector<std::uint64_t> dooms(sets, 0);
-      for (std::size_t s = 0; s < dooms.size(); ++s) {
-        dooms[s] = w_dooms[s] + r_dooms[s];
-      }
+      const auto occupancy = u64_column(lv, "occupancy");
+      const auto evictions = u64_column(lv, "evictions");
+      const auto back_inv = u64_column(lv, "back_invalidations");
+      const auto dooms = doom_column(lv);
       render_density_row(out, "occupancy", occupancy);
       render_density_row(out, "evictions", evictions);
       std::uint64_t bi_total = 0;
@@ -590,41 +603,26 @@ bool render_set_heatmaps(const JsonValue& doc, const std::string& level_filter,
 // Sweep-grid artifacts (tsxhpc-sweep-v1)
 // ---------------------------------------------------------------------------
 
-namespace {
+namespace report_detail {
 
-/// One cell's aggregate over every run embedded in its telemetry: counters
-/// and cycle buckets are summed (a cell whose bench records phases — e.g.
-/// vacation's low/high-contention pair — contributes both), makespans are
-/// summed (the phases run back to back), and rates are recomputed from the
-/// summed counts.
-struct CellMetrics {
-  std::uint64_t makespan = 0;
-  std::uint64_t tx_started = 0;
-  std::uint64_t tx_committed = 0;
-  std::uint64_t tx_aborted = 0;
-  std::uint64_t tx_cycles_committed = 0;
-  std::uint64_t tx_cycles_wasted = 0;
-  std::uint64_t buckets[6] = {};
-  std::uint64_t cycles_total = 0;
-  std::size_t runs = 0;
+double CellMetrics::abort_rate_pct() const {
+  return tx_started == 0 ? 0.0
+                         : 100.0 * static_cast<double>(tx_aborted) /
+                               static_cast<double>(tx_started);
+}
 
-  double abort_rate_pct() const {
-    return tx_started == 0 ? 0.0
-                           : 100.0 * static_cast<double>(tx_aborted) /
-                                 static_cast<double>(tx_started);
-  }
-  double wasted_cycle_pct() const {
-    const std::uint64_t tx = tx_cycles_committed + tx_cycles_wasted;
-    return tx == 0 ? 0.0
-                   : 100.0 * static_cast<double>(tx_cycles_wasted) /
-                         static_cast<double>(tx);
-  }
-  double bucket_pct(std::size_t b) const {
-    return cycles_total == 0 ? 0.0
-                             : 100.0 * static_cast<double>(buckets[b]) /
-                                   static_cast<double>(cycles_total);
-  }
-};
+double CellMetrics::wasted_cycle_pct() const {
+  const std::uint64_t tx = tx_cycles_committed + tx_cycles_wasted;
+  return tx == 0 ? 0.0
+                 : 100.0 * static_cast<double>(tx_cycles_wasted) /
+                       static_cast<double>(tx);
+}
+
+double CellMetrics::bucket_pct(std::size_t b) const {
+  return cycles_total == 0 ? 0.0
+                           : 100.0 * static_cast<double>(buckets[b]) /
+                                 static_cast<double>(cycles_total);
+}
 
 CellMetrics cell_metrics(const JsonValue& cell) {
   CellMetrics m;
@@ -648,6 +646,10 @@ CellMetrics cell_metrics(const JsonValue& cell) {
   return m;
 }
 
+}  // namespace report_detail
+
+namespace {
+
 int axis_index(const JsonValue& axes, const std::string& name) {
   for (std::size_t i = 0; i < axes.size(); ++i) {
     if (axes.at(i)["axis"].as_string() == name) return static_cast<int>(i);
@@ -668,59 +670,62 @@ std::string coords_label(const JsonValue& axes, const JsonValue& coords,
   return label;
 }
 
-void render_scaling_curves(std::string& out, const JsonValue& doc) {
+}  // namespace
+
+std::optional<ScalingCurves> report_detail::scaling_curves(
+    const JsonValue& doc) {
   const JsonValue& axes = doc["axes"];
   const int t_axis = axis_index(axes, "threads");
-  if (t_axis < 0) {
-    out += "  (no 'threads' axis: scaling curves not applicable)\n";
-    return;
-  }
+  if (t_axis < 0) return std::nullopt;
   const JsonValue& t_values = axes.at(static_cast<std::size_t>(t_axis))["values"];
+  ScalingCurves sc;
+  for (std::size_t p = 0; p < t_values.size(); ++p) {
+    sc.threads.push_back(t_values.at(p).as_string());
+  }
+  if (sc.threads.empty()) return std::nullopt;
   // Group cells by the non-thread coordinates, preserving grid order.
-  struct Group {
-    std::string label;
-    std::vector<std::uint64_t> makespan;  // indexed by thread-value position
-  };
-  std::vector<Group> groups;
   const JsonValue& cells = doc["cells"];
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const JsonValue& cell = cells.at(i);
     const std::string key = coords_label(axes, cell["coords"], t_axis);
-    Group* g = nullptr;
-    for (Group& cand : groups) {
-      if (cand.label == key) {
-        g = &cand;
-        break;
-      }
+    auto g = std::find_if(sc.groups.begin(), sc.groups.end(),
+                          [&](const auto& cand) { return cand.label == key; });
+    if (g == sc.groups.end()) {
+      sc.groups.push_back(
+          {key, std::vector<std::uint64_t>(sc.threads.size(), 0)});
+      g = sc.groups.end() - 1;
     }
-    if (!g) {
-      groups.push_back(Group{key, std::vector<std::uint64_t>(t_values.size(), 0)});
-      g = &groups.back();
+    const auto p = std::find(sc.threads.begin(), sc.threads.end(),
+                             cell["coords"]["threads"].as_string());
+    if (p != sc.threads.end()) {
+      g->makespan[static_cast<std::size_t>(p - sc.threads.begin())] =
+          cell_metrics(cell).makespan;
     }
-    const std::string& tv =
-        cell["coords"][axes.at(static_cast<std::size_t>(t_axis))["axis"]
-                           .as_string()]
-            .as_string();
-    for (std::size_t p = 0; p < t_values.size(); ++p) {
-      if (t_values.at(p).as_string() == tv) {
-        g->makespan[p] = cell_metrics(cell).makespan;
-        break;
-      }
-    }
+  }
+  return sc;
+}
+
+namespace {
+
+void render_scaling_curves(std::string& out, const JsonValue& doc) {
+  const std::optional<ScalingCurves> sc = scaling_curves(doc);
+  if (!sc) {
+    out += "  (no 'threads' axis: scaling curves not applicable)\n";
+    return;
   }
   std::size_t wide = 24;
-  for (const Group& g : groups) wide = std::max(wide, g.label.size());
+  for (const auto& g : sc->groups) wide = std::max(wide, g.label.size());
   out += "  scaling curves (makespan by threads; speedup vs t=" +
-         t_values.at(0).as_string() + "):\n";
+         sc->threads[0] + "):\n";
   appendf(out, "    %-*s", static_cast<int>(wide), "cell group");
-  for (std::size_t p = 0; p < t_values.size(); ++p) {
-    appendf(out, "  %12s", ("t=" + t_values.at(p).as_string()).c_str());
+  for (const std::string& t : sc->threads) {
+    appendf(out, "  %12s", ("t=" + t).c_str());
   }
-  for (std::size_t p = 1; p < t_values.size(); ++p) {
-    appendf(out, "  %8s", ("x@" + t_values.at(p).as_string()).c_str());
+  for (std::size_t p = 1; p < sc->threads.size(); ++p) {
+    appendf(out, "  %8s", ("x@" + sc->threads[p]).c_str());
   }
   out += '\n';
-  for (const Group& g : groups) {
+  for (const auto& g : sc->groups) {
     appendf(out, "    %-*s", static_cast<int>(wide), g.label.c_str());
     for (std::size_t p = 0; p < g.makespan.size(); ++p) {
       appendf(out, "  %12llu", static_cast<unsigned long long>(g.makespan[p]));

@@ -16,26 +16,20 @@
 // (tsxhpc-sweep-v1) get the per-cell summary plus makespan scaling curves
 // along the "threads" axis.
 #include <algorithm>
-#include <cstdarg>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/report.h"
+#include "sim/report_detail.h"
 
 namespace tsxhpc::sim {
 
-namespace {
+using namespace report_detail;
 
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  out += buf;
-}
+namespace {
 
 std::string html_escape(const std::string& s) {
   std::string out;
@@ -50,13 +44,6 @@ std::string html_escape(const std::string& s) {
     }
   }
   return out;
-}
-
-std::vector<std::uint64_t> u64_column(const JsonValue& obj, const char* key) {
-  const JsonValue& arr = obj[key];
-  std::vector<std::uint64_t> v(arr.size(), 0);
-  for (std::size_t i = 0; i < arr.size(); ++i) v[i] = arr.at(i).as_u64();
-  return v;
 }
 
 std::uint64_t vmax(const std::vector<std::uint64_t>& v) {
@@ -113,6 +100,26 @@ void svg_series(std::string& out, const std::vector<std::uint64_t>& v,
           color, pts.c_str());
 }
 
+using NamedSeries = std::pair<std::string, std::vector<std::uint64_t>>;
+
+/// A line chart of named series, each normalized to its own max and colored
+/// from a fixed palette, followed by the open legend <div>; the caller
+/// appends its axis note and closes the div.
+void svg_chart(std::string& out, int height,
+               const std::vector<NamedSeries>& series) {
+  static const char* kPalette[] = {"#2a7a2a", "#c03030", "#3050c0", "#c08020",
+                                   "#703090", "#208080", "#806020", "#404040"};
+  appendf(out, "<svg width=\"640\" height=\"%d\" class=\"chart\">", height);
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    svg_series(out, series[i].second, 630, height - 10, kPalette[i % 8]);
+  }
+  out += "</svg><div class=\"legend\">";
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    appendf(out, "<span style=\"color:%s\">— %s</span> ", kPalette[i % 8],
+            html_escape(series[i].first).c_str());
+  }
+}
+
 // --- Telemetry sections ---------------------------------------------------
 
 void emit_run_summary(std::string& out, const JsonValue& run) {
@@ -155,17 +162,14 @@ void emit_run_summary(std::string& out, const JsonValue& run) {
 /// machine, whose reports look exactly as they always did.
 void emit_topology(std::string& out, const JsonValue& run) {
   const JsonValue& topo = run["topology"];
-  if (!topo.is_object()) return;
-  const std::uint64_t sockets = topo["sockets"].as_u64();
-  const std::uint64_t slices = topo["slices"].as_u64();
-  if (sockets <= 1 && slices <= 1) return;
+  if (!has_interconnect(topo)) return;
   appendf(out,
           "<h3>Topology</h3><div class=\"legend\">%llu socket(s) × %llu "
           "cores/socket, %llu LLC slice(s), map=%s, hop cycles "
           "slice=%llu/socket=%llu</div>",
-          static_cast<unsigned long long>(sockets),
+          static_cast<unsigned long long>(topo["sockets"].as_u64()),
           static_cast<unsigned long long>(topo["cores_per_socket"].as_u64()),
-          static_cast<unsigned long long>(slices),
+          static_cast<unsigned long long>(topo["slices"].as_u64()),
           html_escape(topo["map"].as_string()).c_str(),
           static_cast<unsigned long long>(topo["lat_hop_slice"].as_u64()),
           static_cast<unsigned long long>(topo["lat_hop_socket"].as_u64()));
@@ -216,10 +220,7 @@ void emit_topology_scaling(std::string& out, const JsonValue& doc) {
     for (std::size_t i = 0; i < runs.size(); ++i) {
       const JsonValue& run = runs.at(i);
       const JsonValue& topo = run["topology"];
-      if (!topo.is_object()) continue;
-      if (topo["sockets"].as_u64() <= 1 && topo["slices"].as_u64() <= 1) {
-        continue;
-      }
+      if (!has_interconnect(topo)) continue;
       const std::string key =
           topo["map"].as_string() + "/s" +
           std::to_string(topo["slices"].as_u64()) + "/" +
@@ -238,24 +239,15 @@ void emit_topology_scaling(std::string& out, const JsonValue& doc) {
   if (!any) return;
   out += "<section><h2>Topology scaling</h2><h3>Makespan vs sockets × "
          "threads</h3>";
-  static const char* kPalette[] = {"#2a7a2a", "#c03030", "#3050c0", "#c08020",
-                                   "#703090", "#208080", "#806020", "#404040"};
-  appendf(out, "<svg width=\"640\" height=\"160\" class=\"chart\">");
-  std::size_t ci = 0;
+  std::vector<NamedSeries> series;
   for (auto& [key, points] : groups) {
     std::sort(points.begin(), points.end());
-    std::vector<std::uint64_t> series;
-    for (const auto& [threads, makespan] : points) series.push_back(makespan);
-    svg_series(out, series, 630, 150, kPalette[ci % 8]);
-    ci++;
+    series.push_back({key, {}});
+    for (const auto& [threads, makespan] : points) {
+      series.back().second.push_back(makespan);
+    }
   }
-  out += "</svg><div class=\"legend\">";
-  ci = 0;
-  for (const auto& [key, points] : groups) {
-    appendf(out, "<span style=\"color:%s\">— %s</span> ", kPalette[ci % 8],
-            html_escape(key).c_str());
-    ci++;
-  }
+  svg_chart(out, 160, series);
   out += "(x: thread counts ascending; y: makespan, each line normalized to "
          "its own max)</div></section>";
 }
@@ -269,12 +261,7 @@ void emit_set_heatmaps(std::string& out, const JsonValue& run) {
     const JsonValue& lv = levels.at(li);
     const auto occupancy = u64_column(lv, "occupancy");
     const auto evictions = u64_column(lv, "evictions");
-    const auto w_dooms = u64_column(lv, "capacity_write_dooms");
-    const auto r_dooms = u64_column(lv, "capacity_read_dooms");
-    std::vector<std::uint64_t> dooms(occupancy.size(), 0);
-    for (std::size_t s = 0; s < dooms.size(); ++s) {
-      dooms[s] = w_dooms[s] + r_dooms[s];
-    }
+    const auto dooms = doom_column(lv);
     const std::size_t sets = occupancy.size();
     appendf(out, "<div class=\"lvl\"><b>%s</b> (%llu sets × %llu ways)",
             html_escape(lv["level"].as_string()).c_str(),
@@ -358,21 +345,12 @@ void emit_samples(std::string& out, const JsonValue& run) {
   const JsonValue& samples = run["samples"];
   if (!samples.is_object() || samples["count"].as_u64() == 0) return;
   out += "<h3>Interval time series</h3>";
-  const struct {
-    const char* key;
-    const char* color;
-  } series[] = {
-      {"tx_committed", "#2a7a2a"}, {"tx_aborted", "#c03030"},
-      {"llc_misses", "#3050c0"},   {"mem_stall", "#c08020"},
-  };
-  appendf(out, "<svg width=\"640\" height=\"130\" class=\"chart\">");
-  for (const auto& s : series) {
-    svg_series(out, u64_column(samples, s.key), 630, 120, s.color);
+  std::vector<NamedSeries> series;
+  for (const char* key :
+       {"tx_committed", "tx_aborted", "llc_misses", "mem_stall"}) {
+    series.push_back({key, u64_column(samples, key)});
   }
-  out += "</svg><div class=\"legend\">";
-  for (const auto& s : series) {
-    appendf(out, "<span style=\"color:%s\">— %s</span> ", s.color, s.key);
-  }
+  svg_chart(out, 130, series);
   appendf(out, "(interval=%llu cycles, %llu buckets; each line normalized "
                "to its own max)</div>",
           static_cast<unsigned long long>(samples["interval_cycles"].as_u64()),
@@ -437,68 +415,33 @@ void emit_sweep_doc(std::string& out, const JsonValue& doc) {
           html_escape(doc["sweep"].as_string()).c_str(),
           html_escape(doc["scale"].as_string()).c_str(), cells.size());
 
-  // Per-cell summary table.
+  // Per-cell summary table: the terminal grid view's per-cell aggregate.
   out += "<table><tr><th>cell</th><th>makespan</th><th>abort rate</th>"
          "<th>wasted</th></tr>";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const JsonValue& cell = cells.at(i);
-    const JsonValue& run = cell["telemetry"]["runs"].at(0);
+    const CellMetrics m = cell_metrics(cell);
     appendf(out,
             "<tr><td>%s</td><td>%llu</td><td>%.2f%%</td><td>%.2f%%</td></tr>",
             html_escape(cell["cell"].as_string()).c_str(),
-            static_cast<unsigned long long>(run["makespan"].as_u64()),
-            run["totals"]["abort_rate_pct"].as_double(),
-            run["totals"]["wasted_cycle_pct"].as_double());
+            static_cast<unsigned long long>(m.makespan), m.abort_rate_pct(),
+            m.wasted_cycle_pct());
   }
   out += "</table>";
 
-  // Scaling curves along the "threads" axis: one polyline of makespan per
-  // combination of the remaining axes (groups keyed by the cell label with
-  // the threads coordinate removed).
-  const JsonValue& axes = doc["axes"];
-  std::size_t threads_axis = axes.size();
-  for (std::size_t a = 0; a < axes.size(); ++a) {
-    if (axes.at(a)["axis"].as_string() == "threads") threads_axis = a;
+  // Scaling curves along the "threads" axis, one polyline per combination
+  // of the remaining axes. Without a threads axis (e.g. the topology grid
+  // sweeps map × slices and each cell's bench scales threads internally)
+  // only the topology scaling section below applies.
+  if (const std::optional<ScalingCurves> sc = scaling_curves(doc)) {
+    out += "<h3>Makespan vs threads</h3>";
+    std::vector<NamedSeries> series;
+    for (const auto& g : sc->groups) series.push_back({g.label, g.makespan});
+    svg_chart(out, 160, series);
+    out += "(x: threads-axis values in axis order; y: makespan, each line "
+           "normalized to its own max)</div>";
   }
-  if (threads_axis == axes.size()) {
-    // No threads axis (e.g. the topology grid sweeps map × slices and each
-    // cell's bench scales threads internally) — the topology scaling
-    // section below still gets its shot at the per-cell runs.
-    out += "</section>";
-    emit_topology_scaling(out, doc);
-    return;
-  }
-  std::map<std::string, std::vector<std::uint64_t>> groups;  // key -> series
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const JsonValue& cell = cells.at(i);
-    std::string key;
-    for (std::size_t a = 0; a < axes.size(); ++a) {
-      if (a == threads_axis) continue;
-      const std::string& ax = axes.at(a)["axis"].as_string();
-      if (!key.empty()) key += "/";
-      key += ax + "=" + cell["coords"][ax].as_string();
-    }
-    groups[key].push_back(
-        cell["telemetry"]["runs"].at(0)["makespan"].as_u64());
-  }
-  out += "<h3>Makespan vs threads</h3>";
-  static const char* kPalette[] = {"#2a7a2a", "#c03030", "#3050c0", "#c08020",
-                                   "#703090", "#208080", "#806020", "#404040"};
-  appendf(out, "<svg width=\"640\" height=\"160\" class=\"chart\">");
-  std::size_t ci = 0;
-  for (const auto& [key, series] : groups) {
-    svg_series(out, series, 630, 150, kPalette[ci % 8]);
-    ci++;
-  }
-  out += "</svg><div class=\"legend\">";
-  ci = 0;
-  for (const auto& [key, series] : groups) {
-    appendf(out, "<span style=\"color:%s\">— %s</span> ", kPalette[ci % 8],
-            html_escape(key).c_str());
-    ci++;
-  }
-  out += "(x: threads-axis values in grid order; y: makespan, each line "
-         "normalized to its own max)</div></section>";
+  out += "</section>";
   emit_topology_scaling(out, doc);
 }
 

@@ -1,4 +1,5 @@
-// Structured telemetry — the machine-readable counterpart of perf_report().
+// Structured telemetry — the simulator's one counter source, behind every
+// report (tsx_report, bench --report, the HTML dashboard).
 //
 // The paper's entire methodology is observability: Table 1 and Figures 1-6
 // are built from Linux `perf` TSX event counters. This layer is the
@@ -20,7 +21,7 @@
 // Lifecycle: construct a Telemetry, point MachineConfig::telemetry at it (or
 // call Machine::set_telemetry), and every run of every Machine built from
 // that config appends a RunRecord. Detached (the default) every hook site is
-// a single null-check, exactly like TraceLog. All timestamps are virtual
+// a single null-check. All timestamps are virtual
 // cycles — no wall-clock time ever enters the output, so two identical runs
 // export byte-identical artifacts.
 //

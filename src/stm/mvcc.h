@@ -315,12 +315,6 @@ class MvccTx {
   }
   std::uint64_t gc_runs() const { return gc_runs_; }
   std::uint64_t gc_reclaims() const { return gc_reclaims_; }
-  void reset_stats() {
-    starts_ = commits_ = aborts_ = snapshot_commits_ = 0;
-    versions_created_ = version_chain_hops_ = version_chain_depth_max_ = 0;
-    gc_runs_ = gc_reclaims_ = 0;
-    aborts_by_kind_ = {};
-  }
 
  private:
   struct WriteEntry {

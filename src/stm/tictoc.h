@@ -264,10 +264,6 @@ class TicTocTx {
     return aborts_by_kind_[static_cast<std::size_t>(k)];
   }
   std::uint64_t read_set_extensions() const { return read_set_extensions_; }
-  void reset_stats() {
-    starts_ = commits_ = aborts_ = read_set_extensions_ = 0;
-    aborts_by_kind_ = {};
-  }
 
  private:
   struct ReadEntry {

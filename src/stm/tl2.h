@@ -84,8 +84,9 @@ class Tl2Tx {
   std::uint64_t read(Context& c, Addr a, unsigned size = 8) {
     // Write-set lookup first (read-your-writes).
     if (!write_map_.empty()) {
-      if (auto it = write_map_.find(key(a)); it != write_map_.end()) {
-        return extract(write_log_[it->second].value, a, size);
+      if (auto it = write_map_.find(detail::word_key(a));
+          it != write_map_.end()) {
+        return detail::word_extract(write_log_[it->second].value, a, size);
       }
     }
     auto lock = space_.lock_for(a);
@@ -101,7 +102,7 @@ class Tl2Tx {
   }
 
   void write(Context& c, Addr a, std::uint64_t value, unsigned size = 8) {
-    const Addr k = key(a);
+    const Addr k = detail::word_key(a);
     auto [it, fresh] = write_map_.try_emplace(k, write_log_.size());
     if (fresh) {
       // Load the enclosing word so sub-word writes merge correctly at
@@ -109,7 +110,7 @@ class Tl2Tx {
       write_log_.push_back({k, c.load(k, 8)});
     }
     write_log_[it->second].value =
-        insert(write_log_[it->second].value, a, value, size);
+        detail::word_insert(write_log_[it->second].value, a, value, size);
     c.compute(kBookkeeping);
   }
 
@@ -170,34 +171,12 @@ class Tl2Tx {
   std::uint64_t starts() const { return starts_; }
   std::uint64_t commits() const { return commits_; }
   std::uint64_t aborts() const { return aborts_; }
-  double abort_rate_pct() const {
-    return starts_ == 0 ? 0.0
-                        : 100.0 * static_cast<double>(aborts_) /
-                              static_cast<double>(starts_);
-  }
-  void reset_stats() { starts_ = commits_ = aborts_ = 0; }
 
  private:
   struct WriteEntry {
     Addr addr;  // word-aligned
     std::uint64_t value;
   };
-
-  static Addr key(Addr a) { return a & ~static_cast<Addr>(7); }
-
-  static std::uint64_t extract(std::uint64_t word, Addr a, unsigned size) {
-    const unsigned shift = static_cast<unsigned>(a & 7) * 8;
-    const std::uint64_t mask = size == 8 ? ~0ULL : (1ULL << (size * 8)) - 1;
-    return (word >> shift) & mask;
-  }
-
-  static std::uint64_t insert(std::uint64_t word, Addr a, std::uint64_t v,
-                              unsigned size) {
-    const unsigned shift = static_cast<unsigned>(a & 7) * 8;
-    const std::uint64_t mask =
-        size == 8 ? ~0ULL : ((1ULL << (size * 8)) - 1) << shift;
-    return (word & ~mask) | ((v << shift) & mask);
-  }
 
   void release_locks(Context& c, const std::vector<Addr>& addrs,
                      std::size_t count, std::uint64_t new_version) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -52,19 +53,13 @@ std::string parse_spec_error(const std::string& text) {
   return err;
 }
 
-/// A minimal but report-compatible tsxhpc-telemetry-v4 artifact with one run.
-/// `schema` overrides the version string for cross-schema diff tests.
-std::string make_telemetry(const std::string& label, std::uint64_t makespan,
-                           double abort_rate_pct, double wasted_pct,
-                           const std::string& schema = "tsxhpc-telemetry-v4") {
-  JsonWriter w;
-  w.begin_object();
-  w.key("schema");
-  w.value(schema);
-  w.key("bench");
-  w.value("fig2_stamp");
-  w.key("runs");
-  w.begin_array();
+/// One report-compatible run object: `tx_started` transactions of which a
+/// tenth abort, 100 cycles each.
+void write_run(JsonWriter& w, const std::string& label, std::uint64_t makespan,
+               std::uint64_t tx_started, double abort_rate_pct,
+               double wasted_pct) {
+  const std::uint64_t aborted = tx_started / 10;
+  const std::uint64_t committed = tx_started - aborted;
   w.begin_object();
   w.key("label");
   w.value(label);
@@ -75,27 +70,27 @@ std::string make_telemetry(const std::string& label, std::uint64_t makespan,
   w.key("totals");
   w.begin_object();
   w.key("tx_started");
-  w.value(std::uint64_t{100});
+  w.value(tx_started);
   w.key("tx_committed");
-  w.value(std::uint64_t{90});
+  w.value(committed);
   w.key("tx_aborted");
-  w.value(std::uint64_t{10});
+  w.value(aborted);
   w.key("abort_rate_pct");
   w.value(abort_rate_pct);
   w.key("wasted_cycle_pct");
   w.value(wasted_pct);
   w.key("tx_cycles_committed");
-  w.value(std::uint64_t{9000});
+  w.value(committed * 100);
   w.key("tx_cycles_wasted");
-  w.value(std::uint64_t{1000});
+  w.value(aborted * 100);
   w.key("cycles");
   w.begin_object();
   w.key("work");
   w.value(std::uint64_t{4000});
   w.key("tx_committed");
-  w.value(std::uint64_t{9000});
+  w.value(committed * 100);
   w.key("tx_wasted");
-  w.value(std::uint64_t{1000});
+  w.value(aborted * 100);
   w.key("lock_wait");
   w.value(std::uint64_t{500});
   w.key("fallback");
@@ -103,10 +98,31 @@ std::string make_telemetry(const std::string& label, std::uint64_t makespan,
   w.key("mem_stall");
   w.value(std::uint64_t{200});
   w.key("total");
-  w.value(std::uint64_t{15000});
+  w.value(5000 + tx_started * 100);
   w.end_object();
   w.end_object();
   w.end_object();
+}
+
+/// A minimal but report-compatible tsxhpc-telemetry-v4 artifact with one run.
+/// `schema` overrides the version string for cross-schema diff tests. A
+/// nonzero `setup_makespan` records a transaction-free setup run first, the
+/// way vacation and yada do.
+std::string make_telemetry(const std::string& label, std::uint64_t makespan,
+                           double abort_rate_pct, double wasted_pct,
+                           const std::string& schema = "tsxhpc-telemetry-v4",
+                           std::uint64_t setup_makespan = 0) {
+  JsonWriter w;
+  w.begin_object();
+  w.key("schema");
+  w.value(schema);
+  w.key("bench");
+  w.value("fig2_stamp");
+  w.key("runs");
+  w.begin_array();
+  if (setup_makespan != 0) write_run(w, label, setup_makespan, 0, 0.0, 0.0);
+  write_run(w, setup_makespan != 0 ? label + "#2" : label, makespan, 100,
+            abort_rate_pct, wasted_pct);
   w.end_array();
   w.end_object();
   return w.str();
@@ -236,6 +252,43 @@ TEST(SweepReport, RendersGridAndScalingCurves) {
   EXPECT_NE(report.find("scheme=tsx/threads=4"), std::string::npos);
   // Scaling curves: speedup vs the first thread value.
   EXPECT_NE(report.find("4.00"), std::string::npos) << report;
+}
+
+TEST(SweepReport, HtmlCellRowsMatchTheTerminalGridView) {
+  // Every cell records an untimed setup run before the measured one, like
+  // vacation and yada do. The HTML per-cell table must print the terminal
+  // grid view's per-cell aggregate, not the first (setup) run.
+  const SweepSpec spec = parse_spec_ok(kSpecText);
+  const JsonValue doc = make_grid(spec, [](const SweepCell& c, std::size_t i) {
+    return make_telemetry(c.label, 1000 + 100 * i, 5.0, 10.0,
+                          "tsxhpc-telemetry-v4", /*setup_makespan=*/500);
+  });
+  const std::string terminal = render_sweep_report(doc);
+  const std::string html = render_html(doc);
+  const JsonValue& cells = doc["cells"];
+  ASSERT_EQ(cells.size(), 6u);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const std::string& label = cells.at(i)["cell"].as_string();
+    const std::size_t at = terminal.find("  " + label + " ");
+    ASSERT_NE(at, std::string::npos) << label << "\n" << terminal;
+    std::size_t runs = 0;
+    unsigned long long makespan = 0;
+    double abort_pct = 0, wasted_pct = 0;
+    ASSERT_EQ(std::sscanf(terminal.c_str() + at + 2 + label.size(),
+                          "%zu %llu %lf%% %lf%%", &runs, &makespan, &abort_pct,
+                          &wasted_pct),
+              4)
+        << terminal;
+    EXPECT_EQ(runs, 2u);
+    EXPECT_EQ(makespan, 1500u + 100 * i);
+    EXPECT_DOUBLE_EQ(abort_pct, 10.0);  // 10 of 100, from the summed counts
+    char row[256];
+    std::snprintf(row, sizeof(row),
+                  "<tr><td>%s</td><td>%llu</td><td>%.2f%%</td><td>%.2f%%</td>"
+                  "</tr>",
+                  label.c_str(), makespan, abort_pct, wasted_pct);
+    EXPECT_NE(html.find(row), std::string::npos) << row;
+  }
 }
 
 TEST(SweepPivot, KnownMetricsRenderUnknownInputsFail) {

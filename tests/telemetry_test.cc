@@ -1,16 +1,16 @@
 // Tests for the structured telemetry layer: determinism of the exported
 // artifacts, zero observer effect on simulated timing, attempt-ring
-// bounding, and the perf_report() / TraceLog regressions fixed alongside.
+// bounding, and the tsx_report rendering of a real artifact.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
 
+#include "sim/json_parse.h"
 #include "sim/machine.h"
-#include "sim/perf.h"
+#include "sim/report.h"
 #include "sim/shared.h"
 #include "sim/telemetry.h"
-#include "sim/trace.h"
 #include "sync/elision.h"
 
 namespace tsxhpc::sim {
@@ -237,107 +237,60 @@ TEST(Telemetry, V5SampleColumnsSumToRunTotals) {
   EXPECT_EQ(stall, tot.bucket(CycleBucket::kMemStall));
 }
 
-TEST(PerfReport, GoldenSmallCounters) {
-  RunStats rs;
-  rs.threads.resize(1);
-  ThreadStats& t = rs.threads[0];
-  t.tx_started = 10;
-  t.tx_committed = 8;
-  t.tx_aborted[static_cast<size_t>(AbortCause::kConflict)] = 2;
-  t.tx_cycles_committed = 800;
-  t.tx_cycles_wasted = 200;
-  t.tx_read_lines_evicted = 3;
-  t.l1_hits = 100;
-  t.l1_misses = 7;
-  t.atomics = 4;
-  t.syscalls = 1;
-  rs.makespan = 12345;
+TEST(Telemetry, RenderReportMatchesTheArtifactTotals) {
+  // The counter report (tsx_report, bench --report) renders from the
+  // serialized artifact; its headline lines must restate the totals.
+  Telemetry tel;
+  contended_run(&tel, 4, 60, "report");
+  std::string err;
+  const JsonValue doc = JsonParser::parse(tel.json("telemetry_test"), &err);
+  ASSERT_TRUE(err.empty()) << err;
+  const std::string report = render_report(doc);
+  const JsonValue& totals = doc["runs"].at(0)["totals"];
+  const std::uint64_t started = totals["tx_started"].as_u64();
+  const std::uint64_t aborted = totals["tx_aborted"].as_u64();
+  ASSERT_GT(aborted, 0u) << "the run must be contended";
+  EXPECT_EQ(totals["tx_committed"].as_u64() + aborted, started);
 
-  const std::string expected =
-      "            10      tx-start\n"
-      "             8      tx-commit\n"
-      "             2      tx-abort                  #  20.0% of starts\n"
-      "             2      tx-abort.conflict\n"
-      "             0      tx-abort.capacity\n"
-      "             0      tx-abort.explicit\n"
-      "             0      tx-abort.syscall\n"
-      "             0      tx-abort.capacity-read    # secondary-tracker "
-      "losses\n"
-      "          1000      cycles-t                  # cycles in "
-      "transactions\n"
-      "           800      cycles-ct                 # committed-transaction "
-      "cycles\n"
-      "           200      cycles-wasted             #  20.0% of "
-      "transactional cycles\n"
-      "             3      tx-read-lines-evicted     # secondary tracking\n"
-      "           100      l1-hits\n"
-      "             7      l1-misses\n"
-      "             4      atomics\n"
-      "             1      syscalls\n"
-      "         12345      makespan-cycles\n"
-      "  abort rate: 20.00% of started transactions\n"
-      "  wasted cycles: 20.00% of transactional cycles\n";
-  EXPECT_EQ(perf_report(rs), expected);
-}
-
-TEST(PerfReport, DoesNotTruncateWithLargeCounters) {
-  // The old implementation rendered into a fixed 1536-byte buffer; with
-  // 20-digit counters the report exceeds that and the tail was cut off.
-  RunStats rs;
-  rs.threads.resize(1);
-  ThreadStats& t = rs.threads[0];
-  t.tx_started = 18446744073709551615ULL;
-  t.tx_committed = 18446744073709551615ULL;
-  for (auto& a : t.tx_aborted) a = 1000000000000000000ULL;
-  t.tx_cycles_committed = 18446744073709551615ULL;
-  t.tx_read_lines_evicted = 18446744073709551615ULL;
-  t.l1_hits = 18446744073709551615ULL;
-  t.l1_misses = 18446744073709551615ULL;
-  t.atomics = 18446744073709551615ULL;
-  t.syscalls = 18446744073709551615ULL;
-  rs.makespan = 18446744073709551615ULL;
-
-  const std::string report = perf_report(rs);
-  // All 19 lines survive (17 counters + 2 derived), none cut mid-way.
-  std::size_t lines = 0;
-  for (char c : report) lines += c == '\n';
-  EXPECT_EQ(lines, 19u);
-  // Every section survives, down to the final line.
-  for (const char* label :
-       {"tx-start", "tx-commit", "tx-abort.conflict", "tx-abort.capacity",
-        "cycles-t", "cycles-ct", "cycles-wasted", "l1-hits", "l1-misses",
-        "atomics", "syscalls", "makespan-cycles"}) {
-    EXPECT_NE(report.find(label), std::string::npos) << label;
+  const auto expect_line = [&report](const char* fmt, auto... args) {
+    char line[160];
+    std::snprintf(line, sizeof(line), fmt, args...);
+    EXPECT_NE(report.find(line), std::string::npos)
+        << "missing: " << line << "\n" << report;
+  };
+  const auto pct = [started](std::uint64_t n) {
+    return 100.0 * static_cast<double>(n) / static_cast<double>(started);
+  };
+  // The abort tree: started, committed/aborted shares, then one branch per
+  // nonzero cause, the last one closing the tree.
+  expect_line("  transactions: started=%llu\n",
+              static_cast<unsigned long long>(started));
+  expect_line("  |- committed  %12llu  (%5.1f%%)\n",
+              static_cast<unsigned long long>(totals["tx_committed"].as_u64()),
+              pct(totals["tx_committed"].as_u64()));
+  expect_line("  `- aborted    %12llu  (%5.1f%%)\n",
+              static_cast<unsigned long long>(aborted), pct(aborted));
+  std::vector<std::pair<std::string, std::uint64_t>> causes;
+  std::uint64_t by_cause = 0;
+  for (const auto& [name, n] : totals["aborts_by_cause"].members()) {
+    if (n.as_u64() == 0) continue;
+    causes.emplace_back(name, n.as_u64());
+    by_cause += n.as_u64();
   }
-  EXPECT_EQ(report.back(), '\n');
-  EXPECT_NE(report.find("18446744073709551615      makespan-cycles\n"),
-            std::string::npos);
-}
-
-TEST(TraceLog, DumpToPathWritesEvents) {
-  Machine m;
-  TraceLog trace;
-  m.set_trace(&trace);
-  auto cell = Shared<std::uint64_t>::alloc(m, 0);
-  m.run({.threads = 1, .body = [&](Context& c) {
-    c.xbegin();
-    cell.store(c, 1);
-    c.xend();
-  }});
-  m.set_trace(nullptr);
-
-  const std::string path = ::testing::TempDir() + "telemetry_test_trace.txt";
-  ASSERT_TRUE(trace.dump(path));
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  char buf[4096];
-  const std::size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
-  std::fclose(f);
-  std::remove(path.c_str());
-  buf[n] = '\0';
-  const std::string contents(buf);
-  EXPECT_NE(contents.find("t0"), std::string::npos);
-  EXPECT_NE(contents.find("COMMIT"), std::string::npos);
+  EXPECT_EQ(by_cause, aborted);
+  for (std::size_t i = 0; i < causes.size(); ++i) {
+    expect_line("     %s %-14s %12llu  (%5.1f%% of aborts)\n",
+                i + 1 == causes.size() ? "`-" : "|-", causes[i].first.c_str(),
+                static_cast<unsigned long long>(causes[i].second),
+                100.0 * static_cast<double>(causes[i].second) /
+                    static_cast<double>(aborted));
+  }
+  expect_line("  abort rate: %.2f%% of started transactions\n",
+              totals["abort_rate_pct"].as_double());
+  expect_line("  wasted cycles: %.2f%% of transactional cycles\n",
+              totals["wasted_cycle_pct"].as_double());
+  // Every thread's cycle buckets sum to its final clock.
+  EXPECT_EQ(report.find("!!"), std::string::npos) << report;
 }
 
 }  // namespace
