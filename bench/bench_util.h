@@ -10,7 +10,9 @@
 #include <vector>
 
 #include "bench/args.h"
+#include "sim/check.h"
 #include "sim/config.h"
+#include "sim/fsio.h"
 #include "sim/json_parse.h"
 #include "sim/report.h"
 #include "sim/telemetry.h"
@@ -207,31 +209,29 @@ class BenchIo {
   /// MachineConfig::telemetry (or pass to Machine::set_telemetry).
   sim::Telemetry* telemetry() { return telemetry_.get(); }
 
-  /// Write the requested artifacts; returns a process exit code (non-zero
-  /// if a file could not be written).
+  /// Write the requested artifacts, checking the telemetry one (sim/check.h);
+  /// returns a process exit code, non-zero on a write error or violation.
   int finish() {
     int rc = 0;
-    if (telemetry_ && report_) {
-      // Serialize and re-parse so the inline summary goes through the exact
-      // code path tsx_report uses on the artifact file.
-      std::string err;
-      const sim::JsonValue doc =
-          sim::JsonParser::parse(telemetry_->json(bench_name_), &err);
-      if (err.empty()) {
-        std::fputs(sim::render_report(doc).c_str(), stdout);
-      } else {
-        std::fprintf(stderr, "telemetry: --report parse error: %s\n",
-                     err.c_str());
+    if (telemetry_ && (report_ || !json_path_.empty())) {
+      // Serialize once and re-parse, so the checker and the inline summary
+      // read the artifact the way tsx_report does.
+      const std::string text = telemetry_->json(bench_name_);
+      const sim::JsonValue doc = sim::JsonParser::parse(text);
+      if (report_) std::fputs(sim::render_report(doc).c_str(), stdout);
+      for (const std::string& v : sim::check_artifact(doc)) {
+        std::fprintf(stderr, "telemetry: invariant violated: %s\n",
+                     v.c_str());
         rc = 1;
       }
-    }
-    if (telemetry_ && !json_path_.empty()) {
-      if (telemetry_->write_json(json_path_, bench_name_)) {
-        std::printf("telemetry: wrote %s\n", json_path_.c_str());
-      } else {
-        std::fprintf(stderr, "telemetry: cannot write %s\n",
-                     json_path_.c_str());
-        rc = 1;
+      if (!json_path_.empty()) {
+        if (sim::atomic_write_file(json_path_, text)) {
+          std::printf("telemetry: wrote %s\n", json_path_.c_str());
+        } else {
+          std::fprintf(stderr, "telemetry: cannot write %s\n",
+                       json_path_.c_str());
+          rc = 1;
+        }
       }
     }
     if (telemetry_ && !trace_path_.empty()) {

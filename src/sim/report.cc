@@ -12,12 +12,17 @@ namespace tsxhpc::sim {
 namespace report_detail {
 
 void appendf(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
+  va_list ap, copy;
   va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
+  va_copy(copy, ap);
+  const int n = std::vsnprintf(nullptr, 0, fmt, ap);
   va_end(ap);
-  out += buf;
+  if (n > 0) {
+    const std::size_t at = out.size();
+    out.resize(at + static_cast<std::size_t>(n));
+    std::vsnprintf(out.data() + at, static_cast<std::size_t>(n) + 1, fmt, copy);
+  }
+  va_end(copy);
 }
 
 std::vector<std::uint64_t> u64_column(const JsonValue& obj, const char* key) {
@@ -271,15 +276,8 @@ void render_cycle_table(std::string& out, const JsonValue& run) {
     for (const char* k : kBucketKeys) {
       appendf(out, "  %12llu", static_cast<unsigned long long>(cy[k].as_u64()));
     }
-    const std::uint64_t total = cy["total"].as_u64();
-    const std::uint64_t end = th["end_cycle"].as_u64();
-    appendf(out, "  %12llu", static_cast<unsigned long long>(total));
-    // The accounting invariant: buckets sum to the thread's final clock.
-    if (total != end) {
-      appendf(out, "  !! end_cycle=%llu",
-              static_cast<unsigned long long>(end));
-    }
-    out += '\n';
+    appendf(out, "  %12llu\n",
+            static_cast<unsigned long long>(cy["total"].as_u64()));
   }
   const JsonValue& cy = run["totals"]["cycles"];
   out += "    sum";

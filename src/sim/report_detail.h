@@ -13,7 +13,7 @@
 
 namespace tsxhpc::sim::report_detail {
 
-/// printf-append to `out` (one formatted piece of up to 511 bytes).
+/// printf-append to `out`, of any length.
 void appendf(std::string& out, const char* fmt, ...)
     __attribute__((format(printf, 2, 3)));
 

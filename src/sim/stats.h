@@ -13,8 +13,8 @@ namespace tsxhpc::sim {
 
 /// Where a simulated cycle went. Every cycle a thread's virtual clock
 /// advances is attributed to exactly one bucket, so per-thread buckets sum
-/// to the thread's end_cycle — the invariant tsx_report's cycle-accounting
-/// table relies on (and tests assert).
+/// to the thread's end_cycle — an invariant sim/check.cc holds every
+/// artifact to.
 enum class CycleBucket : std::uint8_t {
   kWork = 0,      // useful non-transactional execution (compute, L1 hits)
   kTxCommitted,   // inside transactions that eventually committed
@@ -62,7 +62,7 @@ struct ThreadStats {
 
   // Memory system, per hierarchy level. Every timed access is served by
   // exactly one level, so mem_accesses == l1_hits + l1_misses and
-  // l1_misses == xfers_in + llc_hits + llc_misses (CI checks both).
+  // l1_misses == xfers_in + llc_hits + llc_misses (sim/check.cc).
   std::uint64_t mem_accesses = 0;  // total timed cache accesses
   std::uint64_t l1_hits = 0;
   std::uint64_t l1_misses = 0;
@@ -131,7 +131,7 @@ struct ThreadStats {
 /// the same sites as the ThreadStats level totals. Summed over all slices,
 /// hits/misses/evictions/xfers equal the run's llc_hits/llc_misses/
 /// llc_evictions/xfers_in totals exactly — the v6 decomposition invariant
-/// CI checks.
+/// sim/check.cc checks.
 struct SliceStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;

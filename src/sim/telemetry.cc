@@ -105,7 +105,7 @@ void Telemetry::end_run(const RunStats& rs) {
   if (!r) return;
   // Flush the tail of the v5 memory-pressure columns (deltas accrued since
   // the last sampling event) into the final bucket, so each column sums
-  // exactly to its run total (the CI sample-sum invariant). The v4 l1
+  // exactly to its run total (a sim/check.cc rule). The v4 l1
   // columns deliberately keep their unflushed semantics: their recorded
   // values are frozen by the v4-era goldens, which the policy-equivalence
   // test holds to "new keys only". A run with no sampling events at all
@@ -502,7 +502,7 @@ void write_u64_array(JsonWriter& w, const char* key,
 std::string Telemetry::json(const std::string& bench_name) const {
   JsonWriter w;
   w.begin_object();
-  w.kv("schema", "tsxhpc-telemetry-v7");
+  w.kv("schema", kTelemetrySchema);
   w.kv("bench", bench_name);
   w.key("runs");
   w.begin_array();
@@ -585,7 +585,7 @@ std::string Telemetry::json(const std::string& bench_name) const {
     // Summed over slices, hits/misses/evictions/xfers reproduce the run's
     // llc_hits/llc_misses/llc_evictions/xfers_in totals exactly; summed over
     // sockets, accesses reproduces mem_accesses and dram_local + dram_remote
-    // reproduces llc_misses (CI checks all of these).
+    // reproduces llc_misses (sim/check.cc checks all of these).
     {
       const TopologyRec& topo = r.topology;
       w.key("topology");
@@ -940,14 +940,7 @@ std::string Telemetry::chrome_trace() const {
   return w.take();
 }
 
-// Artifact writes go through <path>.tmp + rename (sim/fsio.h): a sweep
-// driver polling the path, or a run interrupted mid-write, can never see a
-// torn JSON file.
-bool Telemetry::write_json(const std::string& path,
-                           const std::string& bench_name) const {
-  return atomic_write_file(path, json(bench_name));
-}
-
+// Staged through <path>.tmp + rename (sim/fsio.h): no reader sees a torn file.
 bool Telemetry::write_chrome_trace(const std::string& path) const {
   return atomic_write_file(path, chrome_trace());
 }

@@ -44,6 +44,8 @@
 
 namespace tsxhpc::sim {
 
+inline constexpr const char* kTelemetrySchema = "tsxhpc-telemetry-v7";
+
 /// What kind of synchronization object a lock site is. Recorded on the first
 /// event a site produces in a run; purely descriptive.
 enum class LockKind : std::uint8_t {
@@ -61,7 +63,7 @@ const char* to_string(LockKind k);
 /// How a TxPolicy (sync/policy.h) resolved one policy consultation inside an
 /// elided section. Aborts map 1:1 to decisions, so the per-site counts
 /// reconcile with the attempt chains: retries+backoffs+lock_waits+fallbacks
-/// == tx_aborts, and fallbacks+skips == fallback_acquires (CI asserts both).
+/// == tx_aborts, and fallbacks+skips == fallback_acquires (sim/check.cc).
 enum class PolicyDecision : std::uint8_t {
   kRetry,     // retry immediately
   kBackoff,   // backoff cycles charged, then retry
@@ -191,7 +193,7 @@ struct IntervalSample {
   // v5 memory-pressure columns. Unlike the l1 columns (whose tail between
   // the last sampling event and run end is never flushed — frozen v4
   // semantics), these are flushed into the final bucket at end_run, so each
-  // column sums exactly to its run total (CI-checked).
+  // column sums exactly to its run total (checked by sim/check.cc).
   std::uint64_t llc_misses = 0;
   Cycles mem_stall = 0;
 
@@ -273,9 +275,9 @@ struct Histogram {
 /// scheme seam saw, aggregated over threads. Emitted as the per-run `cc`
 /// block. For hardware/lock schemes (sgl/tsx) `starts`/`commits` count
 /// atomic *regions* — hardware retries live below this layer in the attempt
-/// chains, so `aborts` stays 0 and CI enforces it. For STM schemes each
+/// chains, so `aborts` stays 0 (sim/check.cc). For STM schemes each
 /// attempt is a start, and every abort carries exactly one class
-/// (starts == commits + aborts; the classes sum to aborts — CI-enforced).
+/// (starts == commits + aborts; the classes sum to aborts — sim/check.cc).
 struct CcStats {
   std::string scheme;  // "sgl"/"tl2"/"tsx"/"tictoc"/"tictoc-hybrid"/"mvcc"
   std::uint64_t starts = 0;
@@ -485,8 +487,6 @@ class Telemetry {
   /// named by outcome. Timestamps are virtual cycles presented as µs.
   std::string chrome_trace() const;
 
-  bool write_json(const std::string& path,
-                  const std::string& bench_name) const;
   bool write_chrome_trace(const std::string& path) const;
 
  private:

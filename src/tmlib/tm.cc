@@ -96,7 +96,7 @@ class SglBackend final : public CcBackend {
 
 // ---- tsx: RTM elision of the same global lock ----------------------------
 // Region-level accounting only: hardware retries live below this seam, in
-// the telemetry attempt chains, so cc.aborts stays 0 (CI-enforced) and
+// the telemetry attempt chains, so cc.aborts stays 0 (sim/check.cc) and
 // cc.commits reconciles against elided_commits + fallback_acquires.
 
 class TsxThread final : public CcThread {

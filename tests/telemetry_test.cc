@@ -3,9 +3,12 @@
 // bounding, and the tsx_report rendering of a real artifact.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
+#include "artifact_violations.h"
+#include "sim/check.h"
 #include "sim/json_parse.h"
 #include "sim/machine.h"
 #include "sim/report.h"
@@ -55,8 +58,8 @@ TEST(Telemetry, FileExportsAreAtomicRenames) {
   Telemetry tel;
   contended_run(&tel, 2, 20, "atomic");
   const std::string path = ::testing::TempDir() + "telemetry_test_atomic.json";
-  ASSERT_TRUE(tel.write_json(path, "telemetry_test"));
-  // write_json stages to <path>.tmp and renames into place: the artifact
+  ASSERT_TRUE(tel.write_chrome_trace(path));
+  // The export stages to <path>.tmp and renames into place: the artifact
   // exists with the full contents, the staging file does not.
   std::FILE* f = std::fopen(path.c_str(), "r");
   ASSERT_NE(f, nullptr);
@@ -65,7 +68,7 @@ TEST(Telemetry, FileExportsAreAtomicRenames) {
   std::remove(path.c_str());
   // A failing write (unwritable directory) reports false and leaves neither
   // the artifact nor a stray .tmp behind.
-  EXPECT_FALSE(tel.write_json("/nonexistent-dir/t.json", "telemetry_test"));
+  EXPECT_FALSE(tel.write_chrome_trace("/nonexistent-dir/t.json"));
 }
 
 TEST(Telemetry, AttachingDoesNotPerturbSimulatedTiming) {
@@ -115,30 +118,14 @@ TEST(Telemetry, RecordsLockSitesAndAttemptChains) {
 }
 
 TEST(Telemetry, PolicyDecisionsReconcileWithAbortsAndFallbacks) {
+  // The checker's lock-site rules: one decision per abort, one fallback or
+  // skip per real acquisition; and backoff stays within tx_wasted.
   Telemetry tel;
-  const RunStats rs = contended_run(&tel);
+  contended_run(&tel);
   const RunRecord& r = tel.runs().at(0);
   ASSERT_EQ(r.locks.size(), 1u);
-  const LockSiteStats& site = r.locks.begin()->second;
-  auto count = [&](PolicyDecision d) {
-    return site.policy_decisions[static_cast<std::size_t>(d)];
-  };
-  // Exactly one decision per abort...
-  EXPECT_EQ(count(PolicyDecision::kRetry) + count(PolicyDecision::kBackoff) +
-                count(PolicyDecision::kLockWait) +
-                count(PolicyDecision::kFallback),
-            site.tx_aborts);
-  // ...and every real acquisition is preceded by exactly one section-ending
-  // decision or one adaptive skip.
-  EXPECT_EQ(count(PolicyDecision::kFallback) + count(PolicyDecision::kSkip),
-            site.fallback_acquires);
-  EXPECT_GT(site.policy_decisions_total(), 0u);
-  // The backoff sub-counter never exceeds its bucket.
-  for (const ThreadStats& t : rs.threads) {
-    EXPECT_LE(t.backoff_cycles,
-              t.cycles_by_bucket[static_cast<std::size_t>(
-                  CycleBucket::kTxWasted)]);
-  }
+  EXPECT_GT(r.locks.begin()->second.policy_decisions_total(), 0u);
+  EXPECT_EQ(artifact_violations(tel), std::vector<std::string>{});
 }
 
 TEST(Telemetry, AttemptRingDropsOldestWhenFull) {
@@ -221,20 +208,13 @@ TEST(Telemetry, JsonAndTraceAreStructurallyValid) {
 TEST(Telemetry, V5SampleColumnsSumToRunTotals) {
   // The v5 interval columns (llc_misses, mem_stall) get an end_run tail
   // flush into the last bucket, so each column sums exactly to the run
-  // total. (The v4 l1 columns deliberately keep their frozen, unflushed
-  // semantics — goldens depend on those bytes.)
+  // total, as the checker's sample rules require. (The v4 l1 columns
+  // deliberately keep their frozen, unflushed semantics — goldens depend on
+  // those bytes.)
   Telemetry tel;
-  const RunStats rs = contended_run(&tel, 4, 60, "sums");
-  const RunRecord& r = tel.runs().at(0);
-  ASSERT_FALSE(r.samples.empty());
-  std::uint64_t llc = 0, stall = 0;
-  for (const IntervalSample& s : r.samples) {
-    llc += s.llc_misses;
-    stall += s.mem_stall;
-  }
-  const ThreadStats tot = rs.total();
-  EXPECT_EQ(llc, tot.llc_misses);
-  EXPECT_EQ(stall, tot.bucket(CycleBucket::kMemStall));
+  contended_run(&tel, 4, 60, "sums");
+  ASSERT_FALSE(tel.runs().at(0).samples.empty());
+  EXPECT_EQ(artifact_violations(tel), std::vector<std::string>{});
 }
 
 TEST(Telemetry, RenderReportMatchesTheArtifactTotals) {
@@ -250,7 +230,7 @@ TEST(Telemetry, RenderReportMatchesTheArtifactTotals) {
   const std::uint64_t started = totals["tx_started"].as_u64();
   const std::uint64_t aborted = totals["tx_aborted"].as_u64();
   ASSERT_GT(aborted, 0u) << "the run must be contended";
-  EXPECT_EQ(totals["tx_committed"].as_u64() + aborted, started);
+  EXPECT_EQ(check_artifact(doc), std::vector<std::string>{});
 
   const auto expect_line = [&report](const char* fmt, auto... args) {
     char line[160];
@@ -271,13 +251,10 @@ TEST(Telemetry, RenderReportMatchesTheArtifactTotals) {
   expect_line("  `- aborted    %12llu  (%5.1f%%)\n",
               static_cast<unsigned long long>(aborted), pct(aborted));
   std::vector<std::pair<std::string, std::uint64_t>> causes;
-  std::uint64_t by_cause = 0;
   for (const auto& [name, n] : totals["aborts_by_cause"].members()) {
     if (n.as_u64() == 0) continue;
     causes.emplace_back(name, n.as_u64());
-    by_cause += n.as_u64();
   }
-  EXPECT_EQ(by_cause, aborted);
   for (std::size_t i = 0; i < causes.size(); ++i) {
     expect_line("     %s %-14s %12llu  (%5.1f%% of aborts)\n",
                 i + 1 == causes.size() ? "`-" : "|-", causes[i].first.c_str(),
@@ -289,8 +266,32 @@ TEST(Telemetry, RenderReportMatchesTheArtifactTotals) {
               totals["abort_rate_pct"].as_double());
   expect_line("  wasted cycles: %.2f%% of transactional cycles\n",
               totals["wasted_cycle_pct"].as_double());
-  // Every thread's cycle buckets sum to its final clock.
-  EXPECT_EQ(report.find("!!"), std::string::npos) << report;
+}
+
+TEST(Telemetry, HtmlPolylinesAreClosedForLongSeries) {
+  // A short sampling interval gives every interval series enough points
+  // that its <polyline> points attribute runs past 511 bytes; each element
+  // must still be closed.
+  TelemetryOptions opt;
+  opt.sample_interval = 64;
+  Telemetry tel(opt);
+  contended_run(&tel, 4, 60, "series");
+  std::string err;
+  const JsonValue doc = JsonParser::parse(tel.json("telemetry_test"), &err);
+  ASSERT_TRUE(err.empty()) << err;
+  const std::string html = render_html(doc);
+  std::size_t polylines = 0, longest = 0;
+  for (std::size_t at = html.find("<polyline"); at != std::string::npos;
+       at = html.find("<polyline", at + 1)) {
+    polylines++;
+    const std::size_t points = html.find("points=\"", at) + 8;
+    const std::size_t end = html.find('"', points);
+    longest = std::max(longest, end - points);
+    EXPECT_EQ(html.compare(end, 3, "\"/>"), 0)
+        << "unterminated <polyline> at byte " << at;
+  }
+  EXPECT_GT(polylines, 0u);
+  EXPECT_GT(longest, 511u);
 }
 
 }  // namespace

@@ -21,16 +21,20 @@
 //                                         write a self-contained HTML
 //                                         dashboard (inline CSS/SVG)
 //
-// Exit codes: 0 ok, 1 failure(s) found (diff mode), 2 usage or I/O error.
+// Exit codes: 0 ok; 1 failure(s) found: a --diff failure, or an invariant
+// violation (sim/check.h) in any loaded artifact; 2 usage or I/O error.
 #include <cstdio>
 #include <string>
 
 #include "bench/args.h"
+#include "sim/check.h"
 #include "sim/fsio.h"
 #include "sim/json_parse.h"
 #include "sim/report.h"
 
 namespace {
+
+std::size_t g_violations = 0;  // in the artifacts loaded so far
 
 bool load_doc(const std::string& path, tsxhpc::sim::JsonValue& doc) {
   std::string text;
@@ -52,12 +56,15 @@ bool load_doc(const std::string& path, tsxhpc::sim::JsonValue& doc) {
                  path.c_str());
     return false;
   }
+  for (const std::string& v : tsxhpc::sim::check_artifact(doc)) {
+    std::fprintf(stderr, "tsx_report: %s: invariant violated: %s\n",
+                 path.c_str(), v.c_str());
+    g_violations++;
+  }
   return true;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   tsxhpc::bench::Args args(
       "tsx_report", "analyze/diff tsxhpc telemetry and sweep JSON artifacts");
   bool diff = false, cli_markdown = false;
@@ -173,4 +180,11 @@ int main(int argc, char** argv) {
   opt.top_lines = top;
   std::fputs(tsxhpc::sim::render_report(doc, opt).c_str(), stdout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const int rc = run(argc, argv);
+  return rc == 0 && g_violations > 0 ? 1 : rc;
 }
