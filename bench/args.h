@@ -290,6 +290,8 @@ class Args {
       case Kind::kOptString:
         *static_cast<std::string*>(f.out) = v;
         return true;
+      case Kind::kChoice:  // parse() validates and stores choices itself
+        return false;
     }
     return false;
   }

@@ -11,37 +11,31 @@
 // are the scheme's signature event and are counted first-class
 // (`read_set_extensions` in the telemetry `cc` block).
 //
-// Read modes mirror the oltp-cc-bench "trlock" exemplar family:
+// Read modes mirror the oltp-cc-bench "trlock" exemplar family. The
+// descriptor is built with its mode and switches by itself:
 //   kOcc    — optimistic reads (ts-word / value / ts-word), validated and
 //             possibly extended at commit ("trlock-occ").
-//   kLock   — reads take the stripe lock at encounter time, no-wait
-//             (locked stripe => immediate abort, so no deadlock) ("trlock").
-//   kHybrid — start optimistic, switch to locking reads for the retries
-//             after an abort of the same region ("trlock-hybrid").
+//   kLock   — reads and writes take the stripe lock at encounter time,
+//             no-wait (locked stripe => immediate abort, so no deadlock)
+//             ("trlock").
+//   kHybrid — optimistic on a region's first attempt, locking on every
+//             retry after an abort, optimistic again once the region
+//             commits ("trlock-hybrid").
 //
-// Cost profile is kept deliberately comparable to TL2 (same kBookkeeping /
-// kAbortPenalty, same word-granularity write buffering) so scheme
-// comparisons measure the algorithm, not accounting skew.
+// The redo log, commit actions, cost constants, abort path and counters
+// are the StmTx base (stm.h), shared with TL2 and MVCC.
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
-#include "sim/context.h"
 #include "sim/machine.h"
 #include "sim/shared.h"
 #include "stm/stm.h"
 
 namespace tsxhpc::stm {
-
-using sim::Addr;
-using sim::Context;
-using sim::Machine;
 
 /// How TicToc transactional reads acquire their consistency guarantee.
 enum class TicTocReadMode : std::uint8_t { kOcc, kLock, kHybrid };
@@ -103,42 +97,28 @@ class TicTocSpace {
 };
 
 /// Per-thread TicToc transaction descriptor.
-class TicTocTx {
+class TicTocTx : public StmTx<> {
  public:
-  explicit TicTocTx(TicTocSpace& space) : space_(space) {}
+  explicit TicTocTx(TicTocSpace& space,
+                    TicTocReadMode mode = TicTocReadMode::kOcc)
+      : StmTx<>(mode == TicTocReadMode::kHybrid ? "tictoc-hybrid" : "tictoc"),
+        space_(space),
+        mode_(mode),
+        locking_(mode == TicTocReadMode::kLock) {}
 
-  /// `mode` is the effective read mode for this attempt: kOcc or kLock.
-  /// (kHybrid is a region-level policy — the caller maps it to kOcc for the
-  /// first attempt and kLock after an abort.)
-  void begin(Context& /*c*/, TicTocReadMode mode = TicTocReadMode::kOcc) {
+  void begin(Context& /*c*/) {
     read_set_.clear();
-    write_map_.clear();
-    write_log_.clear();
     owned_.clear();
-    commit_actions_.clear();
-    mode_ = mode;
-    active_ = true;
-    starts_++;
-  }
-
-  /// Register an action to run iff this transaction commits. Discarded on
-  /// abort.
-  void on_commit(std::function<void(Context&)> action) {
-    commit_actions_.push_back(std::move(action));
+    start();
   }
 
   std::uint64_t read(Context& c, Addr a, unsigned size = 8) {
-    // Write-set lookup first (read-your-writes).
-    if (!write_map_.empty()) {
-      if (auto it = write_map_.find(detail::word_key(a));
-          it != write_map_.end()) {
-        return detail::word_extract(write_log_[it->second].value, a, size);
-      }
-    }
+    std::uint64_t value = 0;
+    if (buffered(a, size, &value)) return value;
     auto ts = space_.word_for(a);
-    if (mode_ == TicTocReadMode::kLock) {
+    if (locking_) {
       const std::uint64_t w = lock_word(c, ts);
-      const std::uint64_t value = c.load(a, size);
+      value = c.load(a, size);
       read_set_.push_back({ts.addr(), TicTocSpace::wts(w),
                            TicTocSpace::rts(w)});
       c.compute(kBookkeeping);
@@ -148,7 +128,7 @@ class TicTocTx {
     // sandwich but recording (wts, rts) instead of comparing against a
     // global snapshot.
     const std::uint64_t w1 = ts.load(c);
-    const std::uint64_t value = c.load(a, size);
+    value = c.load(a, size);
     const std::uint64_t w2 = ts.load(c);
     if (TicTocSpace::locked(w1)) abort_tx(c, StmAbortKind::kLockAcquire);
     if (w1 != w2) abort_tx(c, StmAbortKind::kReadValidation);
@@ -159,19 +139,10 @@ class TicTocTx {
   }
 
   void write(Context& c, Addr a, std::uint64_t value, unsigned size = 8) {
-    if (mode_ == TicTocReadMode::kLock) {
-      // Encounter-time locking also covers the write stripe, so commit
-      // needs no further acquisition for it.
-      lock_word(c, space_.word_for(a));
-    }
-    const Addr k = detail::word_key(a);
-    auto [it, fresh] = write_map_.try_emplace(k, write_log_.size());
-    if (fresh) {
-      write_log_.push_back({k, c.load(k, 8)});
-    }
-    write_log_[it->second].value =
-        detail::word_insert(write_log_[it->second].value, a, value, size);
-    c.compute(kBookkeeping);
+    // Encounter-time locking also covers the write stripe, so commit
+    // needs no further acquisition for it.
+    if (locking_) lock_word(c, space_.word_for(a));
+    StmTx<>::write(c, a, value, size);
   }
 
   /// Commit. Throws StmAbort on failure (state already reset).
@@ -209,7 +180,7 @@ class TicTocTx {
     for (const ReadEntry& r : read_set_) {
       if (r.rts >= commit_ts) continue;
       if (auto it = owned_.find(r.ts_addr); it != owned_.end()) {
-        // We hold the stripe (write intent or a kLock read). The version
+        // We hold the stripe (write intent or a locking read). The version
         // must still be the one we read — a commit that slipped in between
         // our read and our lock acquisition means the value is stale (the
         // classic lost-update window). Extension itself is settled when we
@@ -230,7 +201,7 @@ class TicTocTx {
                    TicTocSpace::pack(r.wts, commit_ts, false), 8)) {
           abort_tx(c, StmAbortKind::kCommitValidation);
         }
-        read_set_extensions_++;
+        stats_.read_set_extensions++;
       }
     }
     // Write back, then release every owned stripe: write stripes publish
@@ -243,7 +214,7 @@ class TicTocTx {
         c.store(ta, TicTocSpace::pack(commit_ts, commit_ts, false), 8);
       } else {
         const std::uint64_t old_rts = TicTocSpace::rts(w);
-        if (old_rts < commit_ts) read_set_extensions_++;
+        if (old_rts < commit_ts) stats_.read_set_extensions++;
         c.store(ta,
                 TicTocSpace::pack(TicTocSpace::wts(w),
                                   std::max(old_rts, commit_ts), false),
@@ -251,19 +222,9 @@ class TicTocTx {
       }
     }
     owned_.clear();
-    active_ = false;
-    commits_++;
-    run_commit_actions(c);
+    locking_ = mode_ == TicTocReadMode::kLock;  // hybrid: the region is done
+    committed(c);
   }
-
-  bool active() const { return active_; }
-  std::uint64_t starts() const { return starts_; }
-  std::uint64_t commits() const { return commits_; }
-  std::uint64_t aborts() const { return aborts_; }
-  std::uint64_t aborts(StmAbortKind k) const {
-    return aborts_by_kind_[static_cast<std::size_t>(k)];
-  }
-  std::uint64_t read_set_extensions() const { return read_set_extensions_; }
 
  private:
   struct ReadEntry {
@@ -271,12 +232,8 @@ class TicTocTx {
     std::uint64_t wts;
     std::uint64_t rts;
   };
-  struct WriteEntry {
-    Addr addr;  // word-aligned
-    std::uint64_t value;
-  };
 
-  /// No-wait stripe lock for kLock-mode reads/writes: a held stripe aborts
+  /// No-wait stripe lock for locking reads/writes: a held stripe aborts
   /// immediately (kLockAcquire), so encounter-time locking cannot deadlock.
   /// Returns the (locked) ts-word. Idempotent per stripe.
   std::uint64_t lock_word(Context& c, sim::Shared<std::uint64_t> ts) {
@@ -291,43 +248,19 @@ class TicTocTx {
     return w | 1;
   }
 
-  void release_owned(Context& c) {
-    // std::map iteration => ascending, deterministic release order.
+  /// Abort: unlock every owned stripe (std::map iteration => ascending,
+  /// deterministic release order). Hybrid retries lock their reads.
+  void release(Context& c) override {
     for (const auto& [ta, w] : owned_) c.store(ta, w, 8);
     owned_.clear();
+    locking_ = mode_ != TicTocReadMode::kOcc;
   }
-
-  [[noreturn]] void abort_tx(Context& c, StmAbortKind kind) {
-    release_owned(c);
-    active_ = false;
-    aborts_++;
-    aborts_by_kind_[static_cast<std::size_t>(kind)]++;
-    commit_actions_.clear();
-    c.compute(kAbortPenalty);
-    throw StmAbort{kind};
-  }
-
-  void run_commit_actions(Context& c) {
-    for (auto& action : commit_actions_) action(c);
-    commit_actions_.clear();
-  }
-
-  static constexpr sim::Cycles kBookkeeping = 6;
-  static constexpr sim::Cycles kAbortPenalty = 120;
 
   TicTocSpace& space_;
-  TicTocReadMode mode_ = TicTocReadMode::kOcc;
-  bool active_ = false;
+  TicTocReadMode mode_;
+  bool locking_;  // this attempt locks at encounter time
   std::vector<ReadEntry> read_set_;
-  std::unordered_map<Addr, std::size_t> write_map_;
-  std::vector<WriteEntry> write_log_;
   std::map<Addr, std::uint64_t> owned_;  // ts-word addr -> pre-lock word
-  std::vector<std::function<void(Context&)>> commit_actions_;
-  std::uint64_t starts_ = 0;
-  std::uint64_t commits_ = 0;
-  std::uint64_t aborts_ = 0;
-  std::array<std::uint64_t, 3> aborts_by_kind_{};
-  std::uint64_t read_set_extensions_ = 0;
 };
 
 }  // namespace tsxhpc::stm

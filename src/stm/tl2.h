@@ -11,39 +11,32 @@
 // Like real TL2 (and unlike RTM), only *annotated* accesses are tracked:
 // workloads route TM_READ/TM_WRITE through this class and may do untracked
 // accesses elsewhere — e.g. labyrinth's private grid copy.
+//
+// The redo log, commit actions, abort path and counters are the StmTx base
+// (stm.h). MVCC (mvcc.h) is built on this file: it reuses the space, begin
+// and the update commit.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
+#include <string>
+#include <string_view>
 #include <vector>
 
-#include "sim/context.h"
 #include "sim/machine.h"
 #include "sim/shared.h"
 #include "stm/stm.h"
 
 namespace tsxhpc::stm {
 
-using sim::Addr;
-using sim::Context;
-using sim::Machine;
-
 /// Shared STM metadata: the global version clock and the stripe lock table.
 class Tl2Space {
  public:
   /// `stripes` must be a power of two. Each versioned write-lock covers one
   /// stripe of the address space (stripe = addr >> shift).
-  Tl2Space(Machine& m, std::size_t stripes = 1 << 16, unsigned shift = 3)
-      : shift_(shift),
-        mask_(stripes - 1),
-        clock_(sim::Shared<std::uint64_t>::alloc(m, {.name = "tl2/clock"}, 2)),
-        locks_(sim::SharedArray<std::uint64_t>::alloc(m, {.name = "tl2/stripes"}, stripes, 2)) {
-    if ((stripes & (stripes - 1)) != 0) {
-      throw sim::SimError("TL2 stripe count must be a power of two");
-    }
-  }
+  explicit Tl2Space(Machine& m, std::size_t stripes = 1 << 16,
+                    unsigned shift = 3)
+      : Tl2Space(m, "tl2", stripes, shift) {}
 
   // Versioned lock encoding: bit0 = locked; otherwise value = version
   // (even). Initial version 2.
@@ -52,6 +45,22 @@ class Tl2Space {
   }
   sim::Shared<std::uint64_t> clock() const { return clock_; }
 
+ protected:
+  /// Allocates `<scheme>/clock`, then `<scheme>/stripes`.
+  Tl2Space(Machine& m, std::string_view scheme, std::size_t stripes,
+           unsigned shift)
+      : shift_(shift),
+        mask_(stripes - 1),
+        clock_(sim::Shared<std::uint64_t>::alloc(
+            m, {.name = std::string(scheme) + "/clock"}, 2)),
+        locks_(sim::SharedArray<std::uint64_t>::alloc(
+            m, {.name = std::string(scheme) + "/stripes"}, stripes, 2)) {
+    if ((stripes & (stripes - 1)) != 0) {
+      throw sim::SimError(std::string(scheme) +
+                          " stripe count must be a power of two");
+    }
+  }
+
  private:
   unsigned shift_;
   std::size_t mask_;
@@ -59,39 +68,26 @@ class Tl2Space {
   sim::SharedArray<std::uint64_t> locks_;
 };
 
-/// Per-thread TL2 transaction descriptor.
-class Tl2Tx {
+/// Per-thread TL2 transaction descriptor over redo-log entries `Entry`
+/// (`Tl2Tx` below; MVCC derives with its pre-image entries).
+template <typename Entry>
+class BasicTl2Tx : public StmTx<Entry> {
  public:
-  explicit Tl2Tx(Tl2Space& space) : space_(space) {}
+  explicit BasicTl2Tx(Tl2Space& space) : BasicTl2Tx(space, "tl2") {}
 
   void begin(Context& c) {
     read_set_.clear();
-    write_map_.clear();
-    write_log_.clear();
-    commit_actions_.clear();
+    start();
     rv_ = space_.clock().load(c);
     if (rv_ & 1) rv_ ^= 1;  // snapshot must be even (unlocked)
-    active_ = true;
-    starts_++;
-  }
-
-  /// Register an action to run iff this transaction commits (e.g. deferred
-  /// frees from a TM-aware allocator). Discarded on abort.
-  void on_commit(std::function<void(Context&)> action) {
-    commit_actions_.push_back(std::move(action));
   }
 
   std::uint64_t read(Context& c, Addr a, unsigned size = 8) {
-    // Write-set lookup first (read-your-writes).
-    if (!write_map_.empty()) {
-      if (auto it = write_map_.find(detail::word_key(a));
-          it != write_map_.end()) {
-        return detail::word_extract(write_log_[it->second].value, a, size);
-      }
-    }
+    std::uint64_t value = 0;
+    if (buffered(a, size, &value)) return value;
     auto lock = space_.lock_for(a);
     const std::uint64_t v1 = lock.load(c);
-    const std::uint64_t value = c.load(a, size);
+    value = c.load(a, size);
     const std::uint64_t v2 = lock.load(c);
     if ((v1 & 1) != 0 || v1 != v2 || v1 > rv_) {
       abort_tx(c, StmAbortKind::kReadValidation);
@@ -101,28 +97,34 @@ class Tl2Tx {
     return value;
   }
 
-  void write(Context& c, Addr a, std::uint64_t value, unsigned size = 8) {
-    const Addr k = detail::word_key(a);
-    auto [it, fresh] = write_map_.try_emplace(k, write_log_.size());
-    if (fresh) {
-      // Load the enclosing word so sub-word writes merge correctly at
-      // write-back time (real TL2 logs at word granularity too).
-      write_log_.push_back({k, c.load(k, 8)});
-    }
-    write_log_[it->second].value =
-        detail::word_insert(write_log_[it->second].value, a, value, size);
-    c.compute(kBookkeeping);
-  }
-
   /// Commit. Throws StmAbort on validation failure (state already reset).
   void commit(Context& c) {
-    if (write_log_.empty()) {
-      // Read-only fast path: reads already validated against rv_.
-      active_ = false;
-      commits_++;
-      run_commit_actions(c);
-      return;
+    // Read-only transactions skip straight to the end: their reads were
+    // already validated against rv_.
+    if (!write_log_.empty()) {
+      commit_update(c, [&](const Entry& w, std::uint64_t /*wv*/) {
+        c.store(w.addr, w.value, 8);
+      });
     }
+    committed(c);
+  }
+
+ protected:
+  using StmTx<Entry>::abort_tx;
+  using StmTx<Entry>::buffered;
+  using StmTx<Entry>::committed;
+  using StmTx<Entry>::kBookkeeping;
+  using StmTx<Entry>::start;
+  using StmTx<Entry>::write_log_;
+
+  BasicTl2Tx(Tl2Space& space, std::string_view scheme)
+      : StmTx<Entry>(scheme), space_(space) {}
+
+  /// The update commit: lock the write stripes, take a clock version wv,
+  /// validate the read set, `store(entry, wv)` each logged word, release
+  /// the stripes at wv. Returns wv.
+  template <typename Store>
+  std::uint64_t commit_update(Context& c, Store&& store) {
     // Acquire stripe locks (sorted to avoid deadlock; real TL2 uses bounded
     // spin + abort, sorting gives the same progress guarantee).
     std::vector<Addr> lock_addrs;
@@ -160,26 +162,18 @@ class Tl2Tx {
       }
     }
     // Write back and release with the new version.
-    for (const auto& w : write_log_) c.store(w.addr, w.value, 8);
+    for (const auto& w : write_log_) store(w, wv);
     release_locks(c, lock_addrs, lock_addrs.size(), wv);
-    active_ = false;
-    commits_++;
-    run_commit_actions(c);
+    return wv;
   }
 
-  bool active() const { return active_; }
-  std::uint64_t starts() const { return starts_; }
-  std::uint64_t commits() const { return commits_; }
-  std::uint64_t aborts() const { return aborts_; }
+  Tl2Space& space_;
+  std::uint64_t rv_ = 0;
+  std::vector<Addr> read_set_;  // stripe lock addresses
 
  private:
-  struct WriteEntry {
-    Addr addr;  // word-aligned
-    std::uint64_t value;
-  };
-
-  void release_locks(Context& c, const std::vector<Addr>& addrs,
-                     std::size_t count, std::uint64_t new_version) {
+  static void release_locks(Context& c, const std::vector<Addr>& addrs,
+                            std::size_t count, std::uint64_t new_version) {
     for (std::size_t i = 0; i < count; ++i) {
       if (new_version != 0) {
         c.store(addrs[i], new_version, 8);
@@ -189,33 +183,8 @@ class Tl2Tx {
       }
     }
   }
-
-  [[noreturn]] void abort_tx(Context& c, StmAbortKind kind) {
-    active_ = false;
-    aborts_++;
-    commit_actions_.clear();
-    c.compute(kAbortPenalty);
-    throw StmAbort{kind};
-  }
-
-  static constexpr sim::Cycles kBookkeeping = 6;
-  static constexpr sim::Cycles kAbortPenalty = 120;
-
-  void run_commit_actions(Context& c) {
-    for (auto& action : commit_actions_) action(c);
-    commit_actions_.clear();
-  }
-
-  Tl2Space& space_;
-  std::uint64_t rv_ = 0;
-  bool active_ = false;
-  std::vector<Addr> read_set_;
-  std::unordered_map<Addr, std::size_t> write_map_;
-  std::vector<WriteEntry> write_log_;
-  std::vector<std::function<void(Context&)>> commit_actions_;
-  std::uint64_t starts_ = 0;
-  std::uint64_t commits_ = 0;
-  std::uint64_t aborts_ = 0;
 };
+
+using Tl2Tx = BasicTl2Tx<WriteEntry>;
 
 }  // namespace tsxhpc::stm

@@ -19,9 +19,10 @@
 //     exactly the simulated operations the scheme needs, so re-expressing
 //     a scheme through the seam is bit-for-bit (proven for sgl/tl2/tsx by
 //     tests/cc_equivalence_test.cc against pre-seam goldens).
-//   * Every handle keeps its own CcStats; TmThread reports them to the
-//     runtime on destruction, which merges them into the run's telemetry
-//     `cc` block (v7) — the successor of the old report_tl2 side-channel.
+//   * `stats()` is the handle's one counter set. For the STM schemes it is
+//     the descriptor's own (stm.h); sgl/tsx count regions in the adapter.
+//     TmThread reports it to the runtime on destruction, which merges it
+//     into the run's telemetry `cc` block (v7).
 #pragma once
 
 #include <cstdint>
@@ -82,7 +83,7 @@ class RegionRef {
   void (*fn_)(void*);
 };
 
-/// Per-thread handle: the scheme's transaction descriptor plus its stats.
+/// Per-thread handle: the scheme's transaction descriptor and its counters.
 class CcThread {
  public:
   virtual ~CcThread() = default;
@@ -108,17 +109,14 @@ class CcThread {
     throw sim::SimError("defer_to_commit on a non-buffering CC backend");
   }
 
-  const sim::CcStats& stats() const { return stats_; }
-
- protected:
-  sim::CcStats stats_;
+  /// This handle's counters, over every region it has run.
+  virtual const sim::CcStats& stats() const = 0;
 };
 
 /// Per-run backend: owns the scheme's shared state, vends thread handles.
 class CcBackend {
  public:
   virtual ~CcBackend() = default;
-  virtual const char* name() const = 0;
   virtual std::unique_ptr<CcThread> attach() = 0;
 };
 

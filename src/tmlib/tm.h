@@ -37,16 +37,11 @@ class TmRuntime {
  public:
   TmRuntime(Machine& m, Backend backend,
             sync::ElisionPolicy policy = {})
-      : backend_(backend),
-        global_lock_(m, policy),
+      : global_lock_(m, policy),
         tl2_space_(m),
         machine_(&m),
         cc_(make_cc_backend(m, backend, global_lock_, tl2_space_)) {}
 
-  Backend backend() const { return backend_; }
-  sync::ElidedLock& global_lock() { return global_lock_; }
-  stm::Tl2Space& tl2_space() { return tl2_space_; }
-  Machine& machine() { return *machine_; }
   CcBackend& cc_backend() { return *cc_; }
 
   /// Aggregated CC statistics, reported by TmThread on destruction
@@ -59,7 +54,6 @@ class TmRuntime {
   const sim::CcStats& cc_stats() const { return cc_stats_; }
 
  private:
-  Backend backend_;
   // Pre-seam allocation order (lock word, then TL2 clock + stripes) is load-
   // bearing: sgl/tl2/tsx goldens were captured against this heap layout.
   // New backends allocate their spaces inside make_cc_backend, *after*.
@@ -88,10 +82,6 @@ class TmThread {
   /// must follow the same idempotence rules as ElidedLock::critical.
   template <typename F>
   void atomic(F&& f);
-
-  Context& ctx() { return c_; }
-  TmRuntime& runtime() { return rt_; }
-  CcThread& cc() { return *cc_; }
 
  private:
   friend class TmAccess;
@@ -151,15 +141,12 @@ class TmAccess {
   }
 
   Context& ctx() { return c_; }
-  Backend backend() const { return backend_; }
 
  private:
   friend class TmThread;
-  TmAccess(TmThread& t)
-      : c_(t.c_), cc_(t.cc_.get()), backend_(t.rt_.backend()) {}
+  explicit TmAccess(TmThread& t) : c_(t.c_), cc_(t.cc_.get()) {}
   Context& c_;
   CcThread* cc_;
-  Backend backend_;
 };
 
 template <typename F>

@@ -64,9 +64,9 @@ TEST(Mvcc, SnapshotReadSeesPreImageAcrossConcurrentCommit) {
         for (int i = 0; i < 100; ++i) c.compute(100);  // writer commits now
         second = tx.read(c, cell.addr());
         tx.commit(c);
-        aborts = tx.aborts();
-        EXPECT_EQ(tx.snapshot_commits(), 1u);
-        EXPECT_GT(tx.version_chain_hops(), 0u)
+        aborts = tx.stats().aborts;
+        EXPECT_EQ(tx.stats().snapshot_commits, 1u);
+        EXPECT_GT(tx.stats().version_chain_hops, 0u)
             << "the second read must come from the chain";
       },
       [&](Context& c) {
@@ -131,7 +131,7 @@ TEST(Mvcc, ReadOnlySumsAreSnapshotConsistent) {
           bad_sums++;
         }
       }
-      reader_aborts += tx.aborts();
+      reader_aborts += tx.stats().aborts;
     }
   }});
   EXPECT_EQ(bad_sums, 0) << "a snapshot scan must never see a torn transfer";
@@ -180,9 +180,9 @@ TEST(Mvcc, EpochGcReclaimsUnreachableVersions) {
       tx.write(c, cell.addr(), static_cast<std::uint64_t>(i));
       tx.commit(c);
     }
-    gc_runs = tx.gc_runs();
-    gc_reclaims = tx.gc_reclaims();
-    versions = tx.versions_created();
+    gc_runs = tx.stats().gc_runs;
+    gc_reclaims = tx.stats().gc_reclaims;
+    versions = tx.stats().versions_created;
   }});
   EXPECT_GE(gc_runs, 3u);
   EXPECT_GT(gc_reclaims, 0u);

@@ -85,8 +85,8 @@ TEST(TicToc, RtsExtensionSavesMerelyOldReads) {
         for (int i = 0; i < 100; ++i) c.compute(100);  // let thread 1 commit
         tx.write(c, b.addr(), 20);
         tx.commit(c);
-        extensions = tx.read_set_extensions();
-        aborts = tx.aborts();
+        extensions = tx.stats().read_set_extensions;
+        aborts = tx.stats().aborts;
       },
       [&](Context& c) {
         c.compute(500);
@@ -110,23 +110,17 @@ TEST_P(TicTocModes, CounterIncrementsAreLinearizable) {
   auto counter = Shared<std::uint64_t>::alloc(m, 0);
   constexpr int kThreads = 8;
   constexpr int kIters = 200;
-  const TicTocReadMode mode = GetParam();
   m.run({.threads = kThreads, .body = [&](Context& c) {
-    TicTocTx tx(space);
+    TicTocTx tx(space, GetParam());
     for (int i = 0; i < kIters; ++i) {
-      TicTocReadMode attempt =
-          mode == TicTocReadMode::kHybrid ? TicTocReadMode::kOcc : mode;
       for (;;) {
-        tx.begin(c, attempt);
+        tx.begin(c);
         try {
           const auto v = tx.read(c, counter.addr());
           tx.write(c, counter.addr(), v + 1);
           tx.commit(c);
           break;
         } catch (const StmAbort&) {
-          if (mode == TicTocReadMode::kHybrid) {
-            attempt = TicTocReadMode::kLock;
-          }
           c.compute(150);
         }
       }
@@ -141,18 +135,15 @@ TEST_P(TicTocModes, MoneyConservationProperty) {
   constexpr int kAccounts = 32;
   constexpr std::uint64_t kInitial = 1000;
   auto accounts = SharedArray<std::uint64_t>::alloc(m, kAccounts, kInitial);
-  const TicTocReadMode mode = GetParam();
   m.run({.threads = 8, .body = [&](Context& c) {
-    TicTocTx tx(space);
+    TicTocTx tx(space, GetParam());
     sim::Xoshiro256 rng(99 + c.tid());
     for (int i = 0; i < 150; ++i) {
       const std::size_t from = rng.next_below(kAccounts);
       const std::size_t to = rng.next_below(kAccounts);
       const std::uint64_t amt = rng.next_below(20);
-      TicTocReadMode attempt =
-          mode == TicTocReadMode::kHybrid ? TicTocReadMode::kOcc : mode;
       for (;;) {
-        tx.begin(c, attempt);
+        tx.begin(c);
         try {
           const auto f = tx.read(c, accounts.addr(from));
           const auto t = tx.read(c, accounts.addr(to));
@@ -163,9 +154,6 @@ TEST_P(TicTocModes, MoneyConservationProperty) {
           tx.commit(c);
           break;
         } catch (const StmAbort&) {
-          if (mode == TicTocReadMode::kHybrid) {
-            attempt = TicTocReadMode::kLock;
-          }
           c.compute(200);
         }
       }
@@ -183,6 +171,54 @@ INSTANTIATE_TEST_SUITE_P(Modes, TicTocModes,
                          [](const ::testing::TestParamInfo<TicTocReadMode>&
                                 info) { return to_string(info.param); });
 
+TEST(TicToc, HybridLocksReadsOnlyOnRetriesAfterAnAbort) {
+  // kHybrid switches by itself: optimistic on a region's first attempt,
+  // locking reads on the retry after an abort, optimistic again once the
+  // region has committed.
+  Machine m;
+  TicTocSpace space(m);
+  auto cell = Shared<std::uint64_t>::alloc(m, 7);
+  const auto ts = space.word_for(cell.addr());
+  m.run({.threads = 1, .body = [&](Context& c) {
+    TicTocTx tx(space, TicTocReadMode::kHybrid);
+    EXPECT_EQ(tx.stats().scheme, "tictoc-hybrid");
+
+    tx.begin(c);
+    EXPECT_EQ(tx.read(c, cell.addr()), 7u);
+    EXPECT_FALSE(TicTocSpace::locked(ts.peek(m)))
+        << "the first attempt reads optimistically";
+    // Lock the stripe by hand, as a concurrent committer would: the
+    // optimistic re-read aborts no-wait.
+    const std::uint64_t unlocked = ts.peek(m);
+    ts.init(m, unlocked | 1);
+    try {
+      (void)tx.read(c, cell.addr());
+      ADD_FAILURE() << "an optimistic read of a locked stripe must abort";
+    } catch (const StmAbort& a) {
+      EXPECT_EQ(a.kind, StmAbortKind::kLockAcquire);
+    }
+    ts.init(m, unlocked);
+
+    tx.begin(c);
+    EXPECT_EQ(tx.read(c, cell.addr()), 7u);
+    EXPECT_TRUE(TicTocSpace::locked(ts.peek(m)))
+        << "the retry holds its read stripe";
+    tx.commit(c);
+    EXPECT_FALSE(TicTocSpace::locked(ts.peek(m)));
+
+    tx.begin(c);
+    EXPECT_EQ(tx.read(c, cell.addr()), 7u);
+    EXPECT_FALSE(TicTocSpace::locked(ts.peek(m)))
+        << "the next region reads optimistically again";
+    tx.commit(c);
+
+    EXPECT_EQ(tx.stats().starts, 3u);
+    EXPECT_EQ(tx.stats().commits, 2u);
+    EXPECT_EQ(tx.stats().aborts, 1u);
+    EXPECT_EQ(tx.stats().aborts_lock_acquire, 1u);
+  }});
+}
+
 TEST(TicToc, LockModeReadOfHeldStripeAbortsNoWait) {
   // No-wait read locking: a stripe held by another transaction aborts the
   // reader immediately (lock_acquire class) instead of deadlocking.
@@ -195,16 +231,16 @@ TEST(TicToc, LockModeReadOfHeldStripeAbortsNoWait) {
   bool aborted = false;
   m.run({.bodies = {
       [&](Context& c) {
-        TicTocTx tx(space);
-        tx.begin(c, TicTocReadMode::kLock);
+        TicTocTx tx(space, TicTocReadMode::kLock);
+        tx.begin(c);
         (void)tx.read(c, cell.addr());  // holds the stripe read lock
         for (int i = 0; i < 100; ++i) c.compute(100);
         tx.commit(c);
       },
       [&](Context& c) {
         c.compute(500);
-        TicTocTx tx(space);
-        tx.begin(c, TicTocReadMode::kLock);
+        TicTocTx tx(space, TicTocReadMode::kLock);
+        tx.begin(c);
         try {
           (void)tx.read(c, cell.addr());
           tx.commit(c);

@@ -119,7 +119,7 @@ TEST(Tl2, ReadOnlyTransactionsAreCheapAndNeverBlockEachOther) {
       tx.commit(c);
       EXPECT_EQ(sum, 64u * 5u);
     }
-    aborts_total += tx.aborts();
+    aborts_total += tx.stats().aborts;
   }});
   EXPECT_EQ(aborts_total, 0u);
 }
